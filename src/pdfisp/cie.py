@@ -3,9 +3,10 @@
 The state equation is rewritten in terms of the modified contrast
 R = beta*chi / (beta*chi + 1), which for physical media (Re{chi} >= 0,
 beta > 0) satisfies |R| < 1 everywhere, weakening the nonlinearity at high
-contrast. This module holds the chi <-> R mappings, the rewritten state
-residual, and the per-pixel least-squares recovery of chi from spectral
-current coefficients.
+contrast. This module holds the chi <-> R mappings and the per-pixel
+least-squares recovery of chi from paired current/field views; the
+rewritten state residual itself lives with the loss
+(`losses.LossContext.residuals`).
 
 The least-squares contrast of an intermediate iterate is not physical in
 general: its real part goes negative, and at chi = -1/beta the map has a
@@ -19,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .forward import GreensOperators, apply_gd
-from .spectral import SpectralBasis, expand
 
 
 class PoleError(ValueError):
@@ -65,7 +63,7 @@ def default_eps_reg(e_views: np.ndarray) -> float:
 
 @dataclass
 class ContrastRecovery:
-    """recover_contrast with its reusable intermediates."""
+    """Per-pixel least-squares contrast with its reusable intermediates."""
 
     chi: np.ndarray           # (m1, m2)
     j_views: np.ndarray       # (n, m1, m2) currents expand(alpha)
@@ -91,37 +89,3 @@ def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray,
     return ContrastRecovery(chi=chi, j_views=j_views, e_views=e_views, numerator=num,
                             denominator=den, eps_reg=eps_reg,
                             degenerate=den <= 10.0 * eps_reg)
-
-
-def recover_contrast(alpha: np.ndarray, e_inc: np.ndarray, ops: GreensOperators,
-                     basis: SpectralBasis, eps_reg: float | None = None,
-                     full: bool = False):
-    """Contrast implied by spectral current coefficients.
-
-    Expands each view's coefficients into a current image, forms the total
-    field E_inc + G_D J, and solves the per-pixel least squares across
-    views. With full=True returns the ContrastRecovery record (used by the
-    loss/gradient pipeline); otherwise just the contrast image.
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.complex128))
-    if alpha.shape[0] != e_inc.shape[0]:
-        raise ValueError("need one coefficient vector per incidence view")
-    j_views = expand(basis, alpha)
-    e_views = e_inc + apply_gd(ops, j_views)
-    rec = pixel_least_squares(j_views, e_views, eps_reg)
-    return rec if full else rec.chi
-
-
-def cie_state_residual(alpha: np.ndarray, r_hat: np.ndarray, e_inc: np.ndarray,
-                       ops: GreensOperators, basis: SpectralBasis,
-                       beta: complex) -> np.ndarray:
-    """Residual of the contraction-form state equation, per view.
-
-    With J = expand(alpha) and P = E_inc + G_D J + beta*J, the rewritten
-    state equation asks R*P = beta*J; the residual R*P - beta*J vanishes
-    exactly when J, R are mutually consistent.
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.complex128))
-    j_views = expand(basis, alpha)
-    p = e_inc + apply_gd(ops, j_views) + beta * j_views
-    return r_hat * p - beta * j_views

@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.special import j0, j1, y0, y1
 
 from .config import ImagingConfig
 from .geometry import AntennaArray, ComplexGrid, GridGeometry, build_array, build_grid
 from .scenes import Scene, rasterize
-from .special import bessel_j1, hankel1_0, hankel1_1
 
 
 class GeometryError(ValueError):
@@ -98,6 +98,15 @@ class GreensOperators:
 # Operator construction
 
 
+def hankel1_0(x: np.ndarray) -> np.ndarray:
+    """Outgoing cylinder wave H0 = J0 + i*Y0 for real x > 0.
+
+    Cheaper than scipy.special.hankel1(0, x), which takes the complex-argument
+    path, for the same values.
+    """
+    return j0(x) + 1j * y0(x)
+
+
 def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry) -> GreensOperators:
     """Assemble the domain kernel and the receiver matrix.
 
@@ -121,8 +130,8 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
     rho = cs * np.hypot(di[:, None], dj[None, :])
     kernel = np.zeros((2 * m1, 2 * m2), dtype=np.complex128)
     off = rho > 0
-    kernel[off] = coef * bessel_j1(np.array(k0 * a)) * hankel1_0(k0 * rho[off])
-    diag = complex(coef * hankel1_1(np.array(k0 * a)) - 1.0)
+    kernel[off] = coef * j1(k0 * a) * hankel1_0(k0 * rho[off])
+    diag = complex(coef * (j1(k0 * a) + 1j * y1(k0 * a)) - 1.0)
     kernel[0, 0] = diag
     kernel[m1, :] = 0.0
     kernel[:, m2] = 0.0
@@ -131,7 +140,7 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
     d_rx = np.linalg.norm(array.rx_positions[:, None, :] - grid.centers[None, :, :], axis=2)
     if (d_rx < cs / 2.0).any():
         raise GeometryError("a receiver lies inside the pixel grid")
-    gs = coef * bessel_j1(np.array(k0 * a)) * hankel1_0(k0 * d_rx)
+    gs = coef * j1(k0 * a) * hankel1_0(k0 * d_rx)
 
     return GreensOperators(gd_kernel=kernel, gd_kernel_hat=sfft.fft2(kernel),
                            gd_diag=diag, gs_matrix=gs, k0=k0, m1=m1, m2=m2, cell_size=cs)
@@ -151,20 +160,17 @@ def apply_gd_adjoint(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
     return np.conj(apply_gd(ops, np.conj(x)))
 
 
-def dense_gd_matrix(ops: GreensOperators, grid: GridGeometry) -> np.ndarray:
-    """Explicit (M, M) domain operator for small grids (tests, LU solves)."""
-    m = grid.n_cells
-    if m > 4096:
+def dense_gd_matrix(ops: GreensOperators) -> np.ndarray:
+    """Explicit (M, M) domain operator for small grids (tests, LU solves).
+
+    Entry (p, q) is the kernel at the wrapped displacement of cells p and q
+    (row-major cell order), the same entries the FFT application uses.
+    """
+    if ops.n_cells > 4096:
         raise ValueError("dense G_D limited to grids of at most 4096 cells")
-    diff = grid.centers[:, None, :] - grid.centers[None, :, :]
-    rho = np.hypot(diff[..., 0], diff[..., 1])
-    a = grid.cell_size / np.sqrt(np.pi)
-    coef = 1j * np.pi * ops.k0 * a / 2.0
-    out = np.empty((m, m), dtype=np.complex128)
-    off = rho > 0
-    out[off] = coef * bessel_j1(np.array(ops.k0 * a)) * hankel1_0(ops.k0 * rho[off])
-    np.fill_diagonal(out, ops.gd_diag)
-    return out
+    i, j = np.divmod(np.arange(ops.n_cells), ops.m2)
+    return ops.gd_kernel[(i[:, None] - i[None, :]) % (2 * ops.m1),
+                         (j[:, None] - j[None, :]) % (2 * ops.m2)]
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +187,8 @@ def incident_fields(config: ImagingConfig, array: AntennaArray, grid: GridGeomet
     return FieldSet(views=views.reshape(array.n_tx, grid.m1, grid.m2), role="incident")
 
 
-def _solve_dense(chi: np.ndarray, e_inc: np.ndarray, ops: GreensOperators,
-                 grid: GridGeometry) -> np.ndarray:
-    gd = dense_gd_matrix(ops, grid)
+def _solve_dense(chi: np.ndarray, e_inc: np.ndarray, ops: GreensOperators) -> np.ndarray:
+    gd = dense_gd_matrix(ops)
     m = gd.shape[0]
     a_mat = np.eye(m, dtype=np.complex128) - gd * chi.ravel()[None, :]
     sol = np.linalg.solve(a_mat, e_inc.reshape(-1, m).T)
@@ -264,8 +269,7 @@ def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
     if method == "auto":
         method = "dense" if chi_arr.size <= 1024 else "fft"
     if method == "dense":
-        grid = _grid_from_ops(ops, chi.cell_size)
-        x = _solve_dense(chi_arr, b, ops, grid)
+        x = _solve_dense(chi_arr, b, ops)
         res = _relative_residuals(chi_arr, x, b, ops)
     elif method == "fft":
         x, res = _solve_bicgstab(chi_arr, b, ops, tol, maxiter)
@@ -273,15 +277,6 @@ def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
     else:
         raise ValueError(f"unknown method {method!r}")
     return FieldSet(views=x, role="total", residuals=res)
-
-
-def _grid_from_ops(ops: GreensOperators, cell_size: float) -> GridGeometry:
-    half = cell_size * ops.m1 / 2.0, cell_size * ops.m2 / 2.0
-    xs = -half[1] + cell_size * (np.arange(ops.m2) + 0.5)
-    ys = -half[0] + cell_size * (np.arange(ops.m1) + 0.5)
-    gx, gy = np.meshgrid(xs, ys)
-    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return GridGeometry(centers=centers, cell_size=cell_size, m1=ops.m1, m2=ops.m2)
 
 
 def _relative_residuals(chi: np.ndarray, e_tot: np.ndarray, e_inc: np.ndarray,
@@ -364,8 +359,7 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
         sim_cfg = config
 
     e_tot = solve_total_field(chi_sim, e_inc, ops, tol=sim_cfg.solver_tol,
-                              maxiter=sim_cfg.solver_maxiter,
-                              method="fft" if chi_sim.values.size > 1024 else "dense")
+                              maxiter=sim_cfg.solver_maxiter)
     data = synthesize_scattered(chi_sim, e_tot, ops)
     worst = float(e_tot.residuals.max())
     if worst > sim_cfg.solver_tol * 10:

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .config import ImagingConfig
-from .forward import ScatteredData, simulate
+from .forward import ScatteredData, hankel1_0, simulate
 from .geometry import AntennaArray
 from .scenes import Scene, Shape
-from .special import hankel1_0
 
 RING_RADIUS = 1.67          # meters, transmitter and receiver circles
 ARC_START_DEG = 60.0        # receiver arc relative to the transmitter
@@ -179,7 +178,7 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
             raise FresnelError(f"transmitter {t + 1}: zero incident field at the "
                                "calibration receiver")
         d = np.hypot(*(rx_pos[j] - tx_pos[t]))
-        model = 0.25j * hankel1_0(np.array([k0 * d]))[0]
+        model = 0.25j * hankel1_0(k0 * d)
         calibration[t] = model / meas
 
     return FresnelDataset(frequency=f_hz, ring_radius=ring_radius,

@@ -17,20 +17,24 @@ intermediate iterates recover negative contrast, and the unclamped map has
 a pole at chi = -1/beta. The bridge term judges flatness against the
 resolution of the spectral basis, see `loss_bridge`.
 
-`pipeline_forward` evaluates everything once and keeps the intermediates
-the hand-derived reverse pass needs; the per-term functions expose the same
-formulas standalone.
+The state and data residuals are computed only in `LossContext.residuals`,
+and their coefficient gradient at fixed R only in `LossContext.residual_grad`.
+`pipeline_forward` adds the least-squares contrast, the physical-branch map
+and the regularizers, keeping the intermediates the hand-derived reverse
+pass `pipeline_backward` needs; the frozen-contrast objective
+(`reconstruct.CsiObjective`) uses the residual functions alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
 from .cie import ContrastRecovery, chi_to_r, physical_branch, pixel_least_squares
 from .forward import GreensOperators, ScatteredData
-from .spectral import SpectralBasis, SpectralOperators, expand
+from .spectral import SpectralBasis, SpectralOperators
 
 EPS_TV = 1e-12  # smoothing inside the TV square root
 
@@ -55,13 +59,22 @@ class LossBreakdown:
         return (self.state, self.data, self.bound, self.tv, self.bridge, self.total)
 
 
+class Residuals(NamedTuple):
+    """State and data residuals at one set of coefficients, per view."""
+
+    state: np.ndarray    # (n, m1, m2) R*(E + beta*J) - beta*J
+    data: np.ndarray     # (n, n_rx) mask * (G_S J - d)
+
+
 @dataclass
 class LossContext:
     """Everything a loss evaluation needs besides the coefficients.
 
     `maps` holds the precomputed coefficient-space operators of (ops,
     basis); it is built on construction unless a caller that already has
-    them passes them in.
+    them passes them in. `c_sca` and `c_inc` are the measured (masked) and
+    incident powers over all views jointly, the normalizers of the data
+    and state terms.
     """
 
     data: ScatteredData
@@ -73,17 +86,18 @@ class LossContext:
     tau_b: float
     r_fixed: np.ndarray | None = None   # freeze the modified contrast here
     maps: SpectralOperators | None = None
-    c_sca: float = 0.0
-    c_inc: float = 0.0
+    c_sca: float = field(init=False)
+    c_inc: float = field(init=False)
 
     def __post_init__(self):
+        if self.data.matrix.shape[0] != self.e_inc.shape[0]:
+            raise ValueError(
+                f"view count mismatch: data has {self.data.matrix.shape[0]} rows, "
+                f"incident fields have {self.e_inc.shape[0]}")
         if self.maps is None:
             self.maps = SpectralOperators.build(self.ops, self.basis)
-        mat = self.data.matrix
-        if self.data.mask is not None:
-            mat = mat * self.data.mask
-        self.c_sca = float(np.vdot(mat, mat).real)
-        self.c_inc = float(np.vdot(self.e_inc, self.e_inc).real)
+        self.c_sca = _power(self._masked(self.data.matrix))
+        self.c_inc = _power(self.e_inc)
         if self.c_sca <= 0:
             raise ZeroDataError("measured scattered power is zero")
         if self.c_inc <= 0:
@@ -93,37 +107,67 @@ class LossContext:
     def n_views(self) -> int:
         return self.e_inc.shape[0]
 
+    def _masked(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self.data.mask is None else rows * self.data.mask
+
+    def fields(self, alpha: np.ndarray, homogeneous: bool = False):
+        """Currents J = alpha B and total fields E = E_inc + alpha K.
+
+        With homogeneous=True, E is the scattered part alpha K alone.
+        """
+        j = self.maps.expand(alpha)
+        e = self.maps.scattered_field(alpha)
+        return j, (e if homogeneous else self.e_inc + e)
+
+    def residuals(self, alpha: np.ndarray, r_hat: np.ndarray,
+                  fields: tuple[np.ndarray, np.ndarray] | None = None,
+                  homogeneous: bool = False) -> Residuals:
+        """Contraction-form state residual and masked data residual.
+
+        The rewritten state equation asks R*(E + beta*J) = beta*J, so the
+        state residual R*E + beta*(R - 1)*J vanishes exactly when J and R
+        are mutually consistent; the data residual is G_S J - d on the
+        measured entries. (J, E) come from `fields` unless the caller
+        already has them. homogeneous=True drops E_inc and d, leaving the
+        linear part of the map.
+        """
+        j, e = self.fields(alpha, homogeneous) if fields is None else fields
+        state = r_hat * e + (self.beta * (r_hat - 1.0)) * j
+        rows = self.maps.measure(alpha)
+        if not homogeneous:
+            rows = rows - self.data.matrix
+        return Residuals(state=state, data=self._masked(rows))
+
+    def term_values(self, res: Residuals) -> tuple[float, float]:
+        """Normalized (state, data) loss terms of the residuals."""
+        return _power(res.state) / self.c_inc, _power(res.data) / self.c_sca
+
+    def residual_grad(self, r_hat: np.ndarray, res: Residuals,
+                      g_j: np.ndarray | None = None,
+                      g_e: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of state + data terms with respect to the coefficients, R fixed.
+
+        g_j and g_e are gradients that reach J and E by other paths (the
+        least-squares contrast); they are pulled back together with the
+        residuals' own. Shape (n, m0).
+        """
+        scale = 2.0 / self.c_inc
+        all_j = (scale * self.beta * (np.conj(r_hat) - 1.0)) * res.state
+        all_e = (scale * np.conj(r_hat)) * res.state
+        if g_j is not None:
+            all_j += g_j
+        if g_e is not None:
+            all_e += g_e
+        g_rows = self._masked((2.0 / self.c_sca) * res.data)
+        return self.maps.coefficient_grad(g_j=all_j, g_e=all_e, g_rows=g_rows)
+
+
+def _power(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
+
 
 # ----------------------------------------------------------------------
-# Individual terms
-
-
-def loss_data(alpha: np.ndarray, data: ScatteredData, ops: GreensOperators,
-              basis: SpectralBasis, normalizer: float | None = None) -> float:
-    """Measurement misfit ||G_S J - E_sca||^2 / ||E_sca||^2, summed over views."""
-    alpha = np.atleast_2d(alpha)
-    j = expand(basis, alpha).reshape(alpha.shape[0], -1)
-    res = j @ ops.gs_matrix.T - data.matrix
-    if data.mask is not None:
-        res = res * data.mask
-    mat = data.matrix if data.mask is None else data.matrix * data.mask
-    c = float(np.vdot(mat, mat).real) if normalizer is None else normalizer
-    if c <= 0:
-        raise ZeroDataError("measured scattered power is zero")
-    return float(np.vdot(res, res).real / c)
-
-
-def loss_state(alpha: np.ndarray, r_hat: np.ndarray, e_inc: np.ndarray,
-               ops: GreensOperators, basis: SpectralBasis, beta: float,
-               normalizer: float | None = None) -> float:
-    """Contraction-form state residual power over incident power."""
-    from .cie import cie_state_residual
-
-    res = cie_state_residual(alpha, r_hat, e_inc, ops, basis, beta)
-    c = float(np.vdot(e_inc, e_inc).real) if normalizer is None else normalizer
-    if c <= 0:
-        raise ZeroDataError("incident power is zero")
-    return float(np.vdot(res, res).real / c)
+# Regularizer terms
 
 
 def loss_bound(chi: np.ndarray) -> float:
@@ -237,32 +281,22 @@ class PipelineState:
     alpha_hat: np.ndarray      # (n, m0)
     rec: ContrastRecovery
     r_hat: np.ndarray          # (m1, m2)
-    p_views: np.ndarray        # (n, m1, m2) E + beta*J
-    state_res: np.ndarray      # (n, m1, m2)
-    data_res: np.ndarray       # (n, n_rx), masked
+    res: Residuals
     breakdown: LossBreakdown
 
 
 def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
     """Evaluate the composite loss, keeping what the reverse pass reuses."""
     alpha_hat = np.atleast_2d(np.asarray(alpha_hat, dtype=np.complex128))
-    j = ctx.maps.expand(alpha_hat)
-    e = ctx.e_inc + ctx.maps.scattered_field(alpha_hat)
+    j, e = ctx.fields(alpha_hat)
     rec = pixel_least_squares(j, e)
     chi = rec.chi
     if ctx.r_fixed is not None:
         r_hat = ctx.r_fixed
     else:
         r_hat = chi_to_r(physical_branch(chi), ctx.beta)
-
-    p = e + ctx.beta * j
-    sres = r_hat * p - ctx.beta * j
-    l_state = float(np.vdot(sres, sres).real / ctx.c_inc)
-
-    dres = ctx.maps.measure(alpha_hat) - ctx.data.matrix
-    if ctx.data.mask is not None:
-        dres = dres * ctx.data.mask
-    l_data = float(np.vdot(dres, dres).real / ctx.c_sca)
+    res = ctx.residuals(alpha_hat, r_hat, fields=(j, e))
+    l_state, l_data = ctx.term_values(res)
 
     l_bound = loss_bound(chi)
     l_tv = loss_tv(chi)
@@ -276,8 +310,7 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
         raise FloatingPointError(f"nonfinite loss term(s): {bad}")
     bd = LossBreakdown(total=total, state=l_state, data=l_data, bound=l_bound,
                        tv=l_tv, bridge=l_bridge, weights=ctx.lambdas)
-    return PipelineState(alpha_hat=alpha_hat, rec=rec, r_hat=r_hat, p_views=p,
-                         state_res=sres, data_res=dres, breakdown=bd)
+    return PipelineState(alpha_hat=alpha_hat, rec=rec, r_hat=r_hat, res=res, breakdown=bd)
 
 
 def loss_total(alpha: np.ndarray, ctx: LossContext) -> LossBreakdown:
@@ -299,42 +332,25 @@ def loss_total(alpha: np.ndarray, ctx: LossContext) -> LossBreakdown:
 
 def pipeline_backward(state: PipelineState, ctx: LossContext) -> np.ndarray:
     """Gradient of the composite loss with respect to alpha_hat, shape (n, m0)."""
-    beta = ctx.beta
     j = state.rec.j_views
     e = state.rec.e_views
     chi = state.rec.chi
     den = state.rec.denominator
 
-    # state term: res = R*P - beta*J with P = E + beta*J
-    g_sres = (2.0 / ctx.c_inc) * state.state_res
-    g_p = np.conj(state.r_hat) * g_sres
-    g_j = beta * g_p - beta * g_sres
-    g_e = g_p
-
-    # data term: res rows = G_S j - d (masked)
-    g_rows = (2.0 / ctx.c_sca) * state.data_res
-    if ctx.data.mask is not None:
-        g_rows = g_rows * ctx.data.mask
-
     # contrast chain: regularizers plus (unless frozen) the modified-contrast
-    # map on the physical branch, whose clamp passes no real-part gradient
+    # map on the physical branch, whose clamp passes no real-part gradient;
+    # the state residual R*(E + beta*J) - beta*J gives
+    # dL/dR = sum_views conj(E + beta*J) * 2 res / c_inc
     g_chi = regularizer_chi_grad(chi, ctx.lambdas, ctx.tau_b, ctx.basis.m_f)
     if ctx.r_fixed is None:
-        g_r = np.einsum("nij,nij->ij", np.conj(state.p_views), g_sres)
-        g_phys = np.conj(beta / (beta * physical_branch(chi) + 1.0) ** 2) * g_r
+        res = state.res.state
+        g_r = (2.0 / ctx.c_inc) * (np.einsum("nij,nij->ij", np.conj(e), res)
+                                   + ctx.beta * np.einsum("nij,nij->ij", np.conj(j), res))
+        g_phys = np.conj(ctx.beta / (ctx.beta * physical_branch(chi) + 1.0) ** 2) * g_r
         g_chi = g_chi + np.where(chi.real > 0.0, g_phys, 1j * g_phys.imag)
 
     # chi = num/den with num = sum_i J_i conj(E_i), den real
     g_num = g_chi / den
     g_den = -(np.conj(g_chi) * chi).real / den
-    g_j = g_j + e * g_num
-    g_e = g_e + np.conj(g_num) * j + 2.0 * g_den * e
-
-    # J = alpha B, E = E_inc + alpha K, data rows = alpha S
-    return ctx.maps.coefficient_grad(g_j=g_j, g_e=g_e, g_rows=g_rows)
-
-
-def grad_alpha(alpha: np.ndarray, ctx: LossContext) -> tuple[np.ndarray, LossBreakdown]:
-    """Loss and its gradient with respect to the coefficients themselves."""
-    st = pipeline_forward(alpha, ctx)
-    return pipeline_backward(st, ctx), st.breakdown
+    return ctx.residual_grad(state.r_hat, state.res, g_j=e * g_num,
+                             g_e=np.conj(g_num) * j + 2.0 * g_den * e)

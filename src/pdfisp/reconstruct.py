@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -72,10 +72,13 @@ def bp_initialize(data: ScatteredData, e_inc: FieldSet, ops: GreensOperators,
 
 @dataclass
 class CsiObjective:
-    """Data+state quadratic in the coefficients, modified contrast frozen.
+    """Data+state quadratic in the coefficients, modified contrast frozen at r0.
 
     Shared by the spectral initializer (one exact step from zero) and the
-    plain-descent reference solver. Uses the same precomputed
+    plain-descent reference solver. It is the loss context with
+    r_fixed=r0 and no regularizers, evaluated through the residual
+    functions alone (no least-squares contrast), plus the curvature of the
+    quadratic for the exact line search. Uses the same precomputed
     coefficient-space maps as the main loop (built here unless passed).
     """
 
@@ -85,49 +88,26 @@ class CsiObjective:
     ops: GreensOperators
     basis: SpectralBasis
     beta: float
-    maps: SpectralOperators | None = None
-    c_inc: float = 0.0
-    c_sca: float = 0.0
+    maps: InitVar[SpectralOperators | None] = None
+    ctx: LossContext = field(init=False)
 
-    def __post_init__(self):
-        if self.maps is None:
-            self.maps = SpectralOperators.build(self.ops, self.basis)
-        mat = self.data.matrix if self.data.mask is None else self.data.matrix * self.data.mask
-        self.c_sca = float(np.vdot(mat, mat).real)
-        self.c_inc = float(np.vdot(self.e_inc, self.e_inc).real)
-
-    def _residuals(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        j = self.maps.expand(alpha)
-        sres = (self.r0 * (self.e_inc + self.maps.scattered_field(alpha))
-                + self.beta * (self.r0 - 1.0) * j)
-        rows = self.maps.measure(alpha) - self.data.matrix
-        if self.data.mask is not None:
-            rows = rows * self.data.mask
-        return sres, rows
+    def __post_init__(self, maps):
+        # tau_b only shapes the bridge term, which zero weights switch off
+        self.ctx = LossContext(data=self.data, e_inc=self.e_inc, ops=self.ops,
+                               basis=self.basis, beta=self.beta, lambdas=(0.0, 0.0, 0.0),
+                               tau_b=1.0, r_fixed=self.r0, maps=maps)
 
     def value_parts(self, alpha: np.ndarray) -> tuple[float, float]:
-        sres, rows = self._residuals(alpha)
-        return (float(np.vdot(sres, sres).real / self.c_inc),
-                float(np.vdot(rows, rows).real / self.c_sca))
+        """Normalized (state, data) terms at coefficients alpha."""
+        return self.ctx.term_values(self.ctx.residuals(alpha, self.r0))
 
     def grad(self, alpha: np.ndarray) -> np.ndarray:
-        sres, rows = self._residuals(alpha)
-        gs_r = (2.0 / self.c_inc) * sres
-        g_rows = (2.0 / self.c_sca) * rows
-        if self.data.mask is not None:
-            g_rows = g_rows * self.data.mask
-        return self.maps.coefficient_grad(g_j=self.beta * (np.conj(self.r0) - 1.0) * gs_r,
-                                          g_e=np.conj(self.r0) * gs_r, g_rows=g_rows)
+        return self.ctx.residual_grad(self.r0, self.ctx.residuals(alpha, self.r0))
 
     def curvature(self, direction: np.ndarray) -> float:
         """Q(d) = ||A d||^2 in the normalized residual metric (homogeneous part)."""
-        j = self.maps.expand(direction)
-        s_lin = self.r0 * self.maps.scattered_field(direction) + self.beta * (self.r0 - 1.0) * j
-        rows = self.maps.measure(direction)
-        if self.data.mask is not None:
-            rows = rows * self.data.mask
-        return float(np.vdot(s_lin, s_lin).real / self.c_inc
-                     + np.vdot(rows, rows).real / self.c_sca)
+        return sum(self.ctx.term_values(
+            self.ctx.residuals(direction, self.r0, homogeneous=True)))
 
     def exact_step(self, grad: np.ndarray) -> float:
         """Minimizer of the objective along -grad (valid at any iterate)."""

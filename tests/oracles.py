@@ -128,6 +128,24 @@ def dense_measurement_greens(k0: float, centers: np.ndarray, cell_size: float,
     return 0.5j * np.pi * k0 * a * sp.jv(1, k0 * a) * sp.hankel1(0, k0 * rho)
 
 
+def loss_residual_terms(j: np.ndarray, e_inc: np.ndarray, gd: np.ndarray,
+                        gs: np.ndarray, r_hat: np.ndarray, beta: float,
+                        d: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """Normalized state and data terms of the physics loss, by dense products.
+
+    Rows of j and e_inc are per-view current and incident-field vectors
+    (cells in row-major order), gd / gs the dense domain / receiver
+    operators. The state term is ||R*(E + beta*J) - beta*J||^2 / ||E_inc||^2
+    with E = E_inc + G_D J, summed over views; the data term is
+    ||mask*(G_S J - d)||^2 / ||mask*d||^2.
+    """
+    e = e_inc + j @ gd.T
+    state = r_hat * (e + beta * j) - beta * j
+    data = mask * (j @ gs.T - d)
+    return (float(np.sum(np.abs(state) ** 2) / np.sum(np.abs(e_inc) ** 2)),
+            float(np.sum(np.abs(data) ** 2) / np.sum(np.abs(mask * d) ** 2)))
+
+
 # ----------------------------------------------------------------------
 # Windowed means and the guided filter, by direct loops
 

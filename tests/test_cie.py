@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from pdfisp.cie import (PoleError, chi_to_r, cie_state_residual, default_eps_reg,
-                        pixel_least_squares, r_to_chi, recover_contrast)
-from pdfisp.forward import apply_gd, solve_total_field
-from pdfisp.spectral import expand, truncate
+from pdfisp.cie import (PoleError, chi_to_r, default_eps_reg, pixel_least_squares,
+                        r_to_chi)
+from pdfisp.forward import ScatteredData, apply_gd, solve_total_field
+from pdfisp.losses import LossContext
+from pdfisp.spectral import expand
 
 
 def _random_physical_chi(rng, n):
@@ -61,14 +62,7 @@ def test_default_regularizer_formula():
     assert default_eps_reg(e) == pytest.approx(1e-10 * power.max() / 36.0)
 
 
-def test_recovery_view_count_mismatch():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        recover_contrast(np.zeros((2, 36), dtype=complex),
-                         rng.standard_normal((3, 16, 16)) + 0j, None, None)
-
-
-def test_single_view_state_residual_vanishes(tiny_setup):
+def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):
     """With one view, the recovered contrast satisfies J = chi*E exactly
     (up to the floor), so the rewritten state equation must balance."""
     setup = tiny_setup
@@ -79,7 +73,10 @@ def test_single_view_state_residual_vanishes(tiny_setup):
     e = e_inc + apply_gd(setup.ops, j)
     rec = pixel_least_squares(j, e)
     r_hat = chi_to_r(rec.chi, 6.0)
-    res = cie_state_residual(alpha, r_hat, e_inc, setup.ops, setup.basis, 6.0)
+    ctx = LossContext(data=ScatteredData(matrix=tiny_sim.data.matrix[:1]), e_inc=e_inc,
+                      ops=setup.ops, basis=setup.basis, beta=6.0,
+                      lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
+    res = ctx.residuals(alpha, r_hat).state
     assert np.linalg.norm(res) / np.linalg.norm(j) < 1e-6
 
 
@@ -97,14 +94,3 @@ def test_state_residual_zero_for_true_solution(tiny_setup, tiny_sim):
     res = r_true * p - beta * j
     assert np.linalg.norm(res) / np.linalg.norm(setup.e_inc.views) < 1e-8
 
-
-def test_recover_contrast_full_record(tiny_setup):
-    setup = tiny_setup
-    rng = np.random.default_rng(5)
-    n = setup.config.n_tx
-    alpha = rng.standard_normal((n, setup.basis.m0)) + 1j * rng.standard_normal((n, setup.basis.m0))
-    rec = recover_contrast(alpha, setup.e_inc.views, setup.ops, setup.basis, full=True)
-    assert rec.chi.shape == (16, 16)
-    assert rec.j_views.shape == (n, 16, 16)
-    want = truncate(setup.basis, rec.j_views)
-    assert np.abs(want - alpha).max() < 1e-10

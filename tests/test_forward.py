@@ -27,7 +27,7 @@ def _setup(m1=12, m2=12, n_tx=6, n_rx=6, **kw):
 
 def test_domain_operator_matches_reference_matrix():
     cfg, grid, _, ops = _setup()
-    got = dense_gd_matrix(ops, grid)
+    got = dense_gd_matrix(ops)
     want = oracles.dense_domain_greens(cfg.wavenumber, grid.centers, grid.cell_size)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 

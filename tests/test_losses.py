@@ -4,9 +4,9 @@ import pytest
 
 import oracles
 from pdfisp.forward import ScatteredData
-from pdfisp.losses import (LossContext, ZeroDataError, bound_chi_grad, bridge_chi_grad,
-                           grad_alpha, loss_bound, loss_bridge, loss_data, loss_state,
-                           loss_total, loss_tv, pipeline_forward, tv_chi_grad)
+from pdfisp.losses import (ZeroDataError, bound_chi_grad, bridge_chi_grad, loss_bound,
+                           loss_bridge, loss_total, loss_tv, pipeline_backward,
+                           pipeline_forward, tv_chi_grad)
 
 
 def _rand_chi(rng, m=8):
@@ -106,21 +106,31 @@ def test_bridge_gradient():
 # Normalized data / state terms
 
 
-def test_data_term_with_mask():
+def test_data_term_with_mask(tiny_setup, tiny_sim):
+    """State and data terms of the pipeline against dense matrices, with
+    half the receivers unmeasured and garbage in their entries."""
+    setup = tiny_setup
     rng = np.random.default_rng(6)
-    mat = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    mask = np.zeros((3, 4))
-    mask[:, :2] = 1.0
-    # zero coefficients: the residual is just the (masked) data itself
-    data = ScatteredData(matrix=mat, mask=mask)
+    n, m0 = setup.config.n_tx, setup.basis.m0
+    mask = np.zeros(tiny_sim.data.matrix.shape)
+    mask[:, ::2] = 1.0
+    mat = np.where(mask > 0, tiny_sim.data.matrix, 1e3)
+    r_hat = 0.5 * (rng.uniform(size=(16, 16)) + 1j * rng.uniform(size=(16, 16)))
+    ctx = setup.loss_context(ScatteredData(matrix=mat, mask=mask), r_fixed=r_hat)
+    alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
+    bd = loss_total(alpha, ctx)
 
-    class _Ops:
-        gs_matrix = np.zeros((4, 36), dtype=complex)
-
-    from pdfisp.spectral import SpectralBasis
-    basis = SpectralBasis(6, 6, 3)
-    val = loss_data(np.zeros((3, basis.m0), dtype=complex), data, _Ops, basis)
-    assert val == pytest.approx(1.0)
+    # currents by direct inverse DFT of the corner-block coefficients
+    spec = np.zeros((n, 16, 16), dtype=complex)
+    spec[:, setup.basis.rows, setup.basis.cols] = alpha
+    j = np.stack([oracles.idft2_direct(s) for s in spec]).reshape(n, -1)
+    k0, centers, cs = setup.config.wavenumber, setup.grid.centers, setup.grid.cell_size
+    state, data = oracles.loss_residual_terms(
+        j, setup.e_inc.views.reshape(n, -1), oracles.dense_domain_greens(k0, centers, cs),
+        oracles.dense_measurement_greens(k0, centers, cs, setup.array.rx_positions),
+        r_hat.ravel(), setup.config.beta, mat, mask)
+    assert bd.state == pytest.approx(state, rel=1e-10)
+    assert bd.data == pytest.approx(data, rel=1e-10)
 
 
 def test_zero_data_power_rejected(tiny_setup):
@@ -129,12 +139,17 @@ def test_zero_data_power_rejected(tiny_setup):
         tiny_setup.loss_context(data)
 
 
-def test_state_term_zero_for_zero_modified_contrast(tiny_setup):
-    basis = tiny_setup.basis
+def test_view_count_mismatch_rejected(tiny_setup, tiny_sim):
+    data = ScatteredData(matrix=tiny_sim.data.matrix[:5])
+    with pytest.raises(ValueError, match="data has 5 rows, incident fields have 8"):
+        tiny_setup.loss_context(data)
+
+
+def test_state_term_zero_for_zero_modified_contrast(tiny_setup, tiny_sim):
     r_hat = np.zeros((16, 16), dtype=complex)
-    val = loss_state(np.zeros((8, basis.m0), dtype=complex), r_hat,
-                     tiny_setup.e_inc.views, tiny_setup.ops, basis, 6.0)
-    assert val == 0.0
+    ctx = tiny_setup.loss_context(tiny_sim.data, r_fixed=r_hat)
+    res = ctx.residuals(np.zeros((8, tiny_setup.basis.m0), dtype=complex), r_hat)
+    assert ctx.term_values(res)[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +159,10 @@ def test_state_term_zero_for_zero_modified_contrast(tiny_setup):
 def _check_alpha_gradient(ctx, alpha, rng, n_idx):
     """Analytic coefficient gradient against central differences."""
     n, m0 = alpha.shape
-    g, bd = grad_alpha(alpha, ctx)
+    state = pipeline_forward(alpha, ctx)
+    g = pipeline_backward(state, ctx)
     assert g.shape == alpha.shape
-    assert np.isfinite(bd.total)
+    assert np.isfinite(state.breakdown.total)
 
     flat = np.concatenate([alpha.real.ravel(), alpha.imag.ravel()])
 
@@ -189,20 +205,7 @@ def test_frozen_contrast_gradient_matches_finite_differences(tiny_setup, tiny_si
     rng = np.random.default_rng(8)
     n, m0 = ctx.n_views, ctx.basis.m0
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
-    g, _ = grad_alpha(alpha, ctx)
-
-    flat = np.concatenate([alpha.real.ravel(), alpha.imag.ravel()])
-
-    def f(v):
-        half = v.size // 2
-        a = (v[:half] + 1j * v[half:]).reshape(n, m0)
-        return loss_total(a, ctx).total
-
-    idx = rng.choice(flat.size, size=16, replace=False)
-    fd = oracles.central_diff(f, flat, idx, h=1e-6)
-    gflat = np.concatenate([g.real.ravel(), g.imag.ravel()])
-    rel = np.abs(fd - gflat[idx]) / np.maximum(np.abs(fd), 1e-9)
-    assert rel.max() < 1e-5
+    _check_alpha_gradient(ctx, alpha, rng, 16)
 
 
 def test_breakdown_row_layout(tiny_ctx):
