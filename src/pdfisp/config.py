@@ -70,7 +70,9 @@ class ImagingConfig:
     rng_seed : int
         Seed controlling all randomness of a run.
     solver_tol, solver_maxiter
-        Forward Krylov solve stopping rule.
+        Forward solve stopping rule above 1024 cells: relative state-equation
+        residual, and the cap on GMRES iterations per view. Smaller grids
+        are LU-solved.
     use_cco, freeze_r, joint_views, fine_forward
         Ablation / modeling switches. ``freeze_r`` keeps the modified
         contrast fixed at its initial estimate during optimization instead

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import ImagingConfig, config_from_dict, config_to_dict
-from .forward import ScatteredData, simulate
+from .forward import SimulationResult, add_awgn, simulate
 from .geometry import AntennaArray, build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
 from .scenes import Scene, builtin_scene
@@ -174,15 +174,27 @@ def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
 
 
 def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
-    """Noise grid: every SNR level crossed with every contrast level."""
+    """Noise grid: every SNR level crossed with every contrast level.
+
+    Each contrast is simulated once, on first use, and every SNR cell adds
+    its own noise draw to that clean data.
+    """
+    clean: dict[float, SimulationResult] = {}
+
+    def clean_sim(eps: float) -> SimulationResult:
+        if eps not in clean:
+            clean[eps] = simulate(spec.config, spec.scene(eps=eps))
+        return clean[eps]
+
     rows = []
     for idx, (snr, eps) in enumerate(itertools.product(spec.snr_grid, spec.eps_grid)):
-        scene = spec.scene(eps=eps)
         payload = {"cell": idx, "snr_db": snr, "eps": eps, "seed": spec.seed}
 
-        def runner(snr=snr, eps=eps, scene=scene, idx=idx):
-            _, metrics = _run_cell(spec.config, scene, snr, spec.seed + idx)
-            return {"snr_db": snr, "eps": eps, **metrics}
+        def runner(snr=snr, eps=eps, idx=idx):
+            sim = clean_sim(eps)
+            data = add_awgn(sim.data, snr, np.random.default_rng(spec.seed + idx))
+            result = reconstruct(spec.config, data, chi_true=sim.chi_true)
+            return {"snr_db": snr, "eps": eps, **_cell_metrics(result, sim.chi_true)}
 
         rows.append(_resume_or_run(out_dir, payload, runner))
     if out_dir is not None:

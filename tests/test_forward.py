@@ -4,6 +4,7 @@ import pytest
 from scipy import special as sp
 
 import oracles
+from pdfisp import forward
 from pdfisp.config import ImagingConfig
 from pdfisp.forward import (GeometryError, NoConvergenceError, ScatteredData, add_awgn,
                             apply_gd, apply_gd_adjoint, apply_gs_adjoint, build_greens,
@@ -90,10 +91,11 @@ def test_incident_field_is_line_source():
 
 
 def test_dense_solve_satisfies_state_equation():
+    # 12x12 = 144 cells: the LU side of the size rule
     cfg, grid, arr, ops = _setup()
     chi = rasterize(builtin_scene("austria", 2.5, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
-    e_tot = solve_total_field(chi, e_inc, ops, method="dense")
+    e_tot = solve_total_field(chi, e_inc, ops)
     res = e_tot.views - e_inc.views - apply_gd(ops, chi.values * e_tot.views)
     rel = np.linalg.norm(res) / np.linalg.norm(e_inc.views)
     assert rel < 1e-10
@@ -101,19 +103,20 @@ def test_dense_solve_satisfies_state_equation():
 
 
 def test_krylov_solve_agrees_with_dense():
-    cfg, grid, arr, ops = _setup(m1=20, m2=20)
+    # 40x40 = 1600 cells: the GMRES side; the reference is an LU solve of
+    # the independently assembled dense system
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 3.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
-    dense = solve_total_field(chi, e_inc, ops, method="dense")
-    krylov = solve_total_field(chi, e_inc, ops, method="fft", tol=1e-10)
-    num = np.linalg.norm(krylov.views - dense.views)
-    assert num / np.linalg.norm(dense.views) < 1e-8
+    gd = oracles.dense_domain_greens(cfg.wavenumber, grid.centers, grid.cell_size)
+    a_mat = np.eye(grid.n_cells) - gd * chi.values.ravel()[None, :]
+    want = np.linalg.solve(a_mat, e_inc.views.reshape(6, -1).T).T.reshape(e_inc.views.shape)
+    krylov = solve_total_field(chi, e_inc, ops, tol=1e-10)
+    assert np.linalg.norm(krylov.views - want) / np.linalg.norm(want) < 1e-8
     assert krylov.residuals.max() < 1e-9
 
 
-def test_solver_auto_picks_fft_above_dense_limit():
-    # 40x40 = 1600 cells exceeds the dense cutoff; the batched Krylov loop
-    # must still meet the requested residual
+def test_gmres_solve_above_dense_limit_meets_tolerance():
     cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 2.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
@@ -125,8 +128,32 @@ def test_solver_iteration_cap_raises():
     cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 8.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
-    with pytest.raises(NoConvergenceError):
-        solve_total_field(chi, e_inc, ops, method="fft", tol=1e-12, maxiter=2)
+    with pytest.raises(NoConvergenceError, match=r"6 view\(s\) above tol after 2 iterations"):
+        solve_total_field(chi, e_inc, ops, tol=1e-12, maxiter=2)
+
+
+def test_gmres_restarts_until_the_iteration_cap(monkeypatch):
+    # with a short restart one cycle cannot converge; the cap on iterations
+    # per view, not the restart length, bounds the solve
+    monkeypatch.setattr(forward, "GMRES_RESTART", 10)
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", 2.0, scale=0.9), grid)
+    e_tot = solve_total_field(chi, incident_fields(cfg, arr, grid), ops, tol=1e-8)
+    assert e_tot.residuals.max() <= 1e-8
+
+
+@pytest.mark.slow
+def test_default_eps8_solve_converges_well_inside_cap():
+    # the strongest contrast the studies use, on the default 64x64 grid with
+    # 36 views, converges to solver_tol within a tenth of the default cap
+    cfg = ImagingConfig().validate()
+    grid = build_grid(cfg)
+    arr = build_array(cfg)
+    ops = build_greens(cfg, arr, grid)
+    chi = rasterize(builtin_scene("austria", 8.0), grid)
+    e_tot = solve_total_field(chi, incident_fields(cfg, arr, grid), ops,
+                              tol=cfg.solver_tol, maxiter=200)
+    assert e_tot.residuals.max() <= cfg.solver_tol
 
 
 def test_shape_mismatch_rejected():

@@ -134,6 +134,35 @@ def test_noise_study_grid(small_spec):
     assert all(r["eps"] == 2.0 for r in rows)
 
 
+def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
+    import dataclasses
+
+    import pdfisp.forward as forward
+    from pdfisp.forward import simulate
+    from pdfisp.reconstruct import reconstruct
+
+    spec = dataclasses.replace(small_spec, kind="noise", snr_grid=(float("inf"), 5.0, 1.0),
+                               eps_grid=(2.0, 3.0), seed=4)
+    solves = []
+    solve = forward.solve_total_field
+
+    def counted(chi, *args, **kwargs):
+        solves.append(float(chi.values.real.max()))
+        return solve(chi, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "solve_total_field", counted)
+    rows = run_noise_study(spec)
+    assert solves == [1.0, 2.0]         # chi = eps - 1 of the two contrasts
+    monkeypatch.undo()
+
+    # per-cell simulation with the same noise seeds gives the same cells
+    for idx, row in enumerate(rows):
+        sim = simulate(spec.config, spec.scene(eps=row["eps"]), snr_db=row["snr_db"],
+                       rng=np.random.default_rng(spec.seed + idx))
+        want = reconstruct(spec.config, sim.data, chi_true=sim.chi_true)
+        assert row["rel_error"] == want.rel_error
+
+
 def test_ablation_variants(small_spec):
     import dataclasses
 
