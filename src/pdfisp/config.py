@@ -66,21 +66,19 @@ class ImagingConfig:
     cco : CcoParams
         Post-loop contrast compensation settings.
     tau_b : float
-        Amplitude threshold of the bridge penalty.
+        Amplitude threshold of the bridge penalty; > 0.
     rng_seed : int
         Seed controlling all randomness of a run.
     solver_tol, solver_maxiter
         Forward solve stopping rule above 1024 cells: relative state-equation
-        residual, and the cap on GMRES iterations per view. Smaller grids
-        are LU-solved.
-    use_cco, freeze_r, joint_views, fine_forward
+        residual (> 0), and the cap on GMRES iterations per view (>= 1).
+        Smaller grids are LU-solved.
+    use_cco, freeze_r, fine_forward
         Ablation / modeling switches. ``freeze_r`` keeps the modified
         contrast fixed at its initial estimate during optimization instead
-        of re-deriving it from the current coefficients. ``joint_views``
-        feeds all views through the network as one concatenated vector
-        instead of sharing weights across views. ``fine_forward`` simulates
-        measurement data on a 2x finer grid to avoid committing the inverse
-        crime.
+        of re-deriving it from the current coefficients. ``fine_forward``
+        simulates measurement data on a 2x finer grid to avoid committing
+        the inverse crime.
     """
 
     frequency: float = 400e6
@@ -104,7 +102,6 @@ class ImagingConfig:
     solver_maxiter: int = 2000
     use_cco: bool = True
     freeze_r: bool = False
-    joint_views: bool = False
     fine_forward: bool = False
 
     # ------------------------------------------------------------------
@@ -155,6 +152,14 @@ class ImagingConfig:
             raise ConfigError("k_iters must be >= 0")
         if self.learn_rate <= 0:
             raise ConfigError("learn_rate must be positive")
+        if self.tau_b <= 0:
+            raise ConfigError("tau_b must be positive")
+        if self.solver_tol <= 0:
+            raise ConfigError("solver_tol must be positive")
+        if self.solver_maxiter < 1:
+            raise ConfigError("solver_maxiter must be >= 1")
+        if self.cco.gf_radius < 1:
+            raise ConfigError("cco.gf_radius must be >= 1")
         # antennas must sit strictly outside the domain
         if self.radius <= self.doi_side * (2.0 ** 0.5) / 2.0:
             raise ConfigError("ring_radius must exceed doi_side*sqrt(2)/2")

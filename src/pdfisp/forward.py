@@ -39,12 +39,11 @@ class NoConvergenceError(RuntimeError):
 class FieldSet:
     """Per-transmitter stacks of complex field images, shape (n_views, m1, m2).
 
-    role is 'incident', 'total', or 'current'. residuals (when present)
-    stores the relative equation residual of each solved view.
+    residuals (when present) stores the relative equation residual of each
+    solved view.
     """
 
     views: np.ndarray
-    role: str
     residuals: np.ndarray | None = None
 
     @property
@@ -183,7 +182,7 @@ def incident_fields(config: ImagingConfig, array: AntennaArray, grid: GridGeomet
     if (d <= 0).any():
         raise GeometryError("a transmitter coincides with a cell center")
     views = 0.25j * hankel1_0(k0 * d)
-    return FieldSet(views=views.reshape(array.n_tx, grid.m1, grid.m2), role="incident")
+    return FieldSet(views=views.reshape(array.n_tx, grid.m1, grid.m2))
 
 
 def _solve_dense(chi: np.ndarray, e_inc: np.ndarray, ops: GreensOperators) -> np.ndarray:
@@ -245,7 +244,7 @@ def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
         x = _solve_dense(chi_arr, b, ops)
     else:
         x = _solve_gmres(chi_arr, b, ops, tol, maxiter)
-    return FieldSet(views=x, role="total", residuals=_relative_residuals(chi_arr, x, b, ops))
+    return FieldSet(views=x, residuals=_relative_residuals(chi_arr, x, b, ops))
 
 
 def _relative_residuals(chi: np.ndarray, e_tot: np.ndarray, e_inc: np.ndarray,

@@ -16,7 +16,7 @@ the unit line-source model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,15 +200,11 @@ def fresnel_config(dataset: FresnelDataset, **overrides) -> ImagingConfig:
     return ImagingConfig(**base).validate()
 
 
-def fresnel_reconstruct(dataset: FresnelDataset, config: ImagingConfig | None = None,
-                        **overrides):
+def fresnel_reconstruct(dataset: FresnelDataset, **overrides):
     from .reconstruct import reconstruct
 
-    if config is None:
-        config = fresnel_config(dataset, **overrides)
-    elif overrides:
-        config = dc_replace(config, **overrides).validate()
-    return reconstruct(config, dataset.scattered(), array=dataset.array())
+    return reconstruct(fresnel_config(dataset, **overrides), dataset.scattered(),
+                       array=dataset.array())
 
 
 # ----------------------------------------------------------------------

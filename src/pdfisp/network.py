@@ -120,7 +120,7 @@ SCALE_FLOOR = 0.1
 OUTPUT_GAIN = 8.0
 
 
-def _feature_scales(alpha0: np.ndarray, joint: bool) -> np.ndarray:
+def _feature_scales(alpha0: np.ndarray) -> np.ndarray:
     """Per-feature whitening scales matching the [Re | Im] input layout.
 
     One scale per spectral mode (shared by its real and imaginary
@@ -131,11 +131,9 @@ def _feature_scales(alpha0: np.ndarray, joint: bool) -> np.ndarray:
     mode_rms = np.sqrt(np.mean(np.abs(alpha0) ** 2, axis=0))
     global_rms = float(np.sqrt(np.mean(np.abs(alpha0) ** 2)))
     if global_rms == 0.0:
-        return np.ones(2 * alpha0.size if joint else 2 * alpha0.shape[1])
+        return np.ones(2 * alpha0.shape[1])
     s = np.maximum(mode_rms ** SCALE_MIX * global_rms ** (1.0 - SCALE_MIX),
                    SCALE_FLOOR * global_rms)
-    if joint:
-        s = np.tile(s, alpha0.shape[0])
     return np.concatenate([s, s])
 
 
@@ -155,35 +153,29 @@ def _net_forward(params: NetworkParams, x: np.ndarray, scales: np.ndarray):
     return y, (xn, h1, h2)
 
 
-def _split_views(alpha0: np.ndarray, joint: bool) -> np.ndarray:
-    """Real input rows for the network: concat(Re, Im) per view (or jointly)."""
-    if joint:
-        flat = alpha0.reshape(1, -1)
-        return np.concatenate([flat.real, flat.imag], axis=1)
+def _split_views(alpha0: np.ndarray) -> np.ndarray:
+    """Real rows concat(Re, Im), one per view: the layout of the network's
+    input and output and of the loss gradient at its output."""
     return np.concatenate([alpha0.real, alpha0.imag], axis=1)
 
 
-def _merge_views(y: np.ndarray, n_views: int, m0: int, joint: bool) -> np.ndarray:
-    if joint:
-        half = y.shape[1] // 2
-        return (y[0, :half] + 1j * y[0, half:]).reshape(n_views, m0)
+def _merge_views(y: np.ndarray) -> np.ndarray:
     half = y.shape[1] // 2
     return y[:, :half] + 1j * y[:, half:]
 
 
-def forward_net(params: NetworkParams, alpha0: np.ndarray, joint: bool = False) -> np.ndarray:
+def forward_net(params: NetworkParams, alpha0: np.ndarray) -> np.ndarray:
     """Corrective update delta-alpha, same shape as alpha0.
 
-    Per-view mode applies shared weights independently to every view's
-    coefficient vector; joint mode feeds all views as one concatenated
-    vector (the network must have been sized accordingly).
+    The shared weights apply independently to every view's coefficient
+    vector.
     """
     alpha0 = np.atleast_2d(alpha0)
-    x = _split_views(alpha0, joint)
+    x = _split_views(alpha0)
     if x.shape[1] != params.in_dim:
         raise ValueError(f"network expects input width {params.in_dim}, got {x.shape[1]}")
-    y, _ = _net_forward(params, x, _feature_scales(alpha0, joint))
-    return _merge_views(y, alpha0.shape[0], alpha0.shape[1], joint)
+    y, _ = _net_forward(params, x, _feature_scales(alpha0))
+    return _merge_views(y)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +200,8 @@ def unflatten_params(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
 # Gradient of the composite loss with respect to the weights
 
 
-def grad_loss(params: NetworkParams, alpha0: np.ndarray, ctx: LossContext,
-              joint: bool = False) -> tuple[np.ndarray, LossBreakdown]:
+def grad_loss(params: NetworkParams, alpha0: np.ndarray,
+              ctx: LossContext) -> tuple[np.ndarray, LossBreakdown]:
     """Exact reverse-mode gradient over the flattened parameters.
 
     Runs the network forward, evaluates the composite loss at
@@ -217,20 +209,12 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray, ctx: LossContext,
     (real/imaginary channels), then through the affine-tanh stack.
     """
     alpha0 = np.atleast_2d(np.asarray(alpha0, dtype=np.complex128))
-    n, m0 = alpha0.shape
-    x = _split_views(alpha0, joint)
-    scales = _feature_scales(alpha0, joint)
-    y, (x0, h1, h2) = _net_forward(params, x, scales)
-    alpha_hat = alpha0 + _merge_views(y, n, m0, joint)
+    scales = _feature_scales(alpha0)
+    y, (x0, h1, h2) = _net_forward(params, _split_views(alpha0), scales)
+    alpha_hat = alpha0 + _merge_views(y)
 
     state = pipeline_forward(alpha_hat, ctx)
-    g_alpha = pipeline_backward(state, ctx)
-
-    if joint:
-        flat = g_alpha.reshape(1, -1)
-        gy = np.concatenate([flat.real, flat.imag], axis=1)
-    else:
-        gy = np.concatenate([g_alpha.real, g_alpha.imag], axis=1)
+    gy = _split_views(pipeline_backward(state, ctx))
 
     w1, w2, w3 = params.weights
     flat = np.empty(params.n_params())

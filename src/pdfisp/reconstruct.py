@@ -192,8 +192,7 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     alpha0 = init_alpha(r0, data, e_inc, ops, basis, config.beta, maps=maps)
 
     rng = np.random.default_rng(config.rng_seed)
-    m0_eff = basis.m0 * (e_inc.views.shape[0] if config.joint_views else 1)
-    net = init_network(m0_eff, rng)
+    net = init_network(basis.m0, rng)
     adam = AdamState.for_params(net, lr=config.learn_rate)
     ctx = LossContext(data=data, e_inc=e_inc.views, ops=ops, basis=basis,
                       beta=config.beta, lambdas=(config.lambda1, config.lambda2,
@@ -203,11 +202,11 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
 
     trace: list[LossBreakdown] = []
     for _ in range(config.k_iters):
-        g, bd = grad_loss(net, alpha0, ctx, joint=config.joint_views)
+        g, bd = grad_loss(net, alpha0, ctx)
         trace.append(bd)
         net, adam = adam_step(adam, net, g)
 
-    alpha_hat = alpha0 + forward_net(net, alpha0, joint=config.joint_views)
+    alpha_hat = alpha0 + forward_net(net, alpha0)
     final = pipeline_forward(alpha_hat, ctx)
     final_bd = final.breakdown
     chi_hat = final.rec.chi

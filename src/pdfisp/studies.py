@@ -1,9 +1,9 @@
 """Scripted experiment harness: sweeps, noise grids, ablations, Monte Carlo.
 
 Every study is a pure function of (spec, seeds): cells are keyed by a hash
-of their configuration, finished cells are skipped on resume, and seeds are
-assigned deterministically per cell index, so reruns reproduce tables
-exactly.
+of everything their result depends on (see _run_cells), finished cells are
+skipped on resume, failed cells are recorded as `error` rows, and seeds are
+assigned deterministically per cell, so reruns reproduce tables exactly.
 """
 from __future__ import annotations
 
@@ -11,16 +11,15 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .config import ImagingConfig, config_from_dict, config_to_dict
+from .config import ConfigError, ImagingConfig, config_from_dict, config_hash, config_to_dict
 from .forward import SimulationResult, add_awgn, simulate
-from .geometry import AntennaArray, build_array, perturb_array
+from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
 from .scenes import Scene, builtin_scene
 
@@ -49,7 +48,6 @@ class StudySpec:
     sigmas: tuple = (0.001,)
     n_realizations: int = 20
     seed: int = 0
-    workers: int = 1
 
     def scene(self, eps: float | None = None) -> Scene:
         return builtin_scene(self.scene_name, eps_r=eps if eps is not None else self.scene_eps,
@@ -64,6 +62,9 @@ def spec_to_dict(spec: StudySpec) -> dict:
 
 def spec_from_dict(d: dict) -> StudySpec:
     d = dict(d)
+    unknown = set(d) - {f.name for f in dataclasses.fields(StudySpec)}
+    if unknown:
+        raise ConfigError(f"unknown study spec keys: {sorted(unknown)}")
     cfg = config_from_dict(d.pop("config", {}))
     for key in ("snr_grid", "eps_grid", "ablations", "sigmas"):
         if key in d:
@@ -88,7 +89,7 @@ def save_study_spec(path, spec: StudySpec) -> None:
 # Shared cell machinery
 
 
-def _cell_metrics(result: ReconstructionResult, chi_true) -> dict:
+def _cell_metrics(result: ReconstructionResult) -> dict:
     eps = result.eps_r.real
     return {
         "rel_error": result.rel_error,
@@ -102,11 +103,8 @@ def _cell_metrics(result: ReconstructionResult, chi_true) -> dict:
     }
 
 
-def _run_cell(config: ImagingConfig, scene: Scene, snr_db: float,
-              noise_seed: int) -> tuple[ReconstructionResult, dict]:
-    sim = simulate(config, scene, snr_db=snr_db, rng=np.random.default_rng(noise_seed))
-    result = reconstruct(config, sim.data, chi_true=sim.chi_true)
-    return result, _cell_metrics(result, sim.chi_true)
+METRIC_COLUMNS = ["rel_error", "wall_time", "loss_state", "loss_data", "loss_total",
+                  "components", "peak_eps", "min_eps"]
 
 
 def _cell_key(payload: dict) -> str:
@@ -144,6 +142,28 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
             fh.write(",".join(vals) + "\n")
 
 
+def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -> list[dict]:
+    """Run a study's (config, params, runner) cells in order; return their rows.
+
+    A cell's key hashes everything its row depends on: the study name, the
+    hash of the cell's config, the scene, the study seed and the cell's
+    params (index, SNR, variant, realization, ...). With an out_dir, a cell
+    whose key is already stored is loaded instead of run, a cell that
+    raises becomes a row of its key fields plus `error`, and the columns
+    that occur in any row are written to <name>.csv.
+    """
+    rows = []
+    for config, params, runner in cells:
+        payload = {"study": name, "config": config_hash(config),
+                   "scene": [spec.scene_name, spec.scene_eps, spec.scene_scale],
+                   "seed": spec.seed, **params}
+        rows.append(_resume_or_run(out_dir, payload, runner))
+    if out_dir is not None:
+        columns = [c for c in columns + ["error"] if any(c in r for r in rows)]
+        _write_csv(Path(out_dir) / f"{name}.csv", rows, columns)
+    return rows
+
+
 # ----------------------------------------------------------------------
 # Studies
 
@@ -151,26 +171,20 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
 def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
     """Cartesian sweep over config fields (e.g. beta, m_f, k_iters)."""
     names = sorted(spec.axes)
-    grids = [spec.axes[n] for n in names]
     scene = spec.scene()
-    rows = []
-    for idx, values in enumerate(itertools.product(*grids)):
+    cells = []
+    for idx, values in enumerate(itertools.product(*(spec.axes[n] for n in names))):
         overrides = dict(zip(names, values))
         cfg = dc_replace(spec.config, **overrides).validate()
-        payload = {"cell": idx, "overrides": overrides, "scene_eps": spec.scene_eps,
-                   "snr_db": spec.snr_db, "seed": spec.seed}
 
         def runner(cfg=cfg, idx=idx, overrides=overrides):
-            _, metrics = _run_cell(cfg, scene, spec.snr_db, spec.seed + idx)
-            return {**overrides, **metrics}
+            sim = simulate(cfg, scene, snr_db=spec.snr_db,
+                           rng=np.random.default_rng(spec.seed + idx))
+            result = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
+            return {**overrides, **_cell_metrics(result)}
 
-        rows.append(_resume_or_run(out_dir, payload, runner))
-    if out_dir is not None:
-        cols = names + ["rel_error", "wall_time", "loss_state", "loss_data", "loss_total",
-                        "components", "peak_eps", "min_eps", "error"]
-        cols = [c for c in cols if any(c in r for r in rows)]
-        _write_csv(Path(out_dir) / "sweep.csv", rows, cols)
-    return rows
+        cells.append((cfg, {"cell": idx, "snr_db": spec.snr_db, **overrides}, runner))
+    return _run_cells("sweep", spec, cells, out_dir, names + METRIC_COLUMNS)
 
 
 def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
@@ -186,23 +200,16 @@ def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
             clean[eps] = simulate(spec.config, spec.scene(eps=eps))
         return clean[eps]
 
-    rows = []
+    cells = []
     for idx, (snr, eps) in enumerate(itertools.product(spec.snr_grid, spec.eps_grid)):
-        payload = {"cell": idx, "snr_db": snr, "eps": eps, "seed": spec.seed}
-
         def runner(snr=snr, eps=eps, idx=idx):
             sim = clean_sim(eps)
             data = add_awgn(sim.data, snr, np.random.default_rng(spec.seed + idx))
             result = reconstruct(spec.config, data, chi_true=sim.chi_true)
-            return {"snr_db": snr, "eps": eps, **_cell_metrics(result, sim.chi_true)}
+            return {"snr_db": snr, "eps": eps, **_cell_metrics(result)}
 
-        rows.append(_resume_or_run(out_dir, payload, runner))
-    if out_dir is not None:
-        cols = ["snr_db", "eps", "rel_error", "wall_time", "loss_state", "loss_data",
-                "loss_total", "components", "peak_eps", "min_eps", "error"]
-        cols = [c for c in cols if any(c in r for r in rows)]
-        _write_csv(Path(out_dir) / "noise.csv", rows, cols)
-    return rows
+        cells.append((spec.config, {"cell": idx, "snr_db": snr, "eps": eps}, runner))
+    return _run_cells("noise", spec, cells, out_dir, ["snr_db", "eps"] + METRIC_COLUMNS)
 
 
 def gap_mask(chi_true: np.ndarray, dilate: int = 5) -> np.ndarray:
@@ -229,73 +236,66 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
     """Full pipeline versus single-switch ablations on one shared dataset."""
-    scene = spec.scene()
-    sim = simulate(spec.config, scene, snr_db=spec.snr_db,
+    sim = simulate(spec.config, spec.scene(), snr_db=spec.snr_db,
                    rng=np.random.default_rng(spec.seed))
-    out: dict[str, dict] = {}
     variants = [("full", {})] + [(n, ABLATION_FLAGS[n]) for n in spec.ablations]
+    cells = []
     for name, overrides in variants:
         cfg = dc_replace(spec.config, **overrides)
-        payload = {"variant": name, "scene_eps": spec.scene_eps, "snr_db": spec.snr_db,
-                   "seed": spec.seed, "overrides": overrides}
 
         def runner(cfg=cfg, name=name):
             result = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
-            metrics = _cell_metrics(result, sim.chi_true)
+            metrics = _cell_metrics(result)
             eps = result.eps_r.real
             metrics["variant"] = name
             metrics["n_below_one"] = int(np.sum(eps < 1.0))
             metrics["gap_spurious"] = spurious_gap_pixels(eps, sim.chi_true.values)
             return metrics
 
-        out[name] = _resume_or_run(out_dir, payload, runner)
-    if out_dir is not None:
-        cols = ["variant", "rel_error", "peak_eps", "min_eps", "n_below_one",
-                "gap_spurious", "components", "loss_data", "loss_total", "wall_time", "error"]
-        rows = list(out.values())
-        cols = [c for c in cols if any(c in r for r in rows)]
-        _write_csv(Path(out_dir) / "ablation.csv", rows, cols)
-    return out
-
-
-def _mc_cell(args: tuple) -> dict:
-    config, scene, sigma, seed_key, idx = args
-    rng = np.random.default_rng(seed_key)
-    nominal = build_array(config)
-    true_array = perturb_array(nominal, sigma, rng)
-    sim = simulate(config, scene, snr_db=float("inf"), rng=rng, array=true_array)
-    result = reconstruct(config, sim.data, array=nominal, chi_true=sim.chi_true)
-    return {"sigma": sigma, "realization": idx, "rel_error": result.rel_error,
-            "wall_time": result.wall_time}
+        cells.append((cfg, {"variant": name, "snr_db": spec.snr_db}, runner))
+    cols = ["variant", "rel_error", "peak_eps", "min_eps", "n_below_one",
+            "gap_spurious", "components", "loss_data", "loss_total", "wall_time"]
+    rows = _run_cells("ablation", spec, cells, out_dir, cols)
+    return {name: row for (name, _), row in zip(variants, rows)}
 
 
 def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
     """Antenna-position uncertainty: data from perturbed arrays, inversion
     with the nominal geometry.
 
-    Returns per-sigma error lists plus five-number summaries.
+    Realization r of sigma number si draws from default_rng((seed, si, r)).
+    Returns per-sigma error lists plus five-number summaries over the
+    realizations that did not fail (NaN when none succeeded).
     """
     scene = spec.scene()
-    jobs = []
-    for si, sigma in enumerate(spec.sigmas):
+    cells = []
+    for si, sigma in enumerate(map(float, spec.sigmas)):
         for r in range(spec.n_realizations):
-            jobs.append((spec.config, scene, float(sigma), (spec.seed, si, r), r))
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_mc_cell, jobs))
-    else:
-        rows = [_mc_cell(j) for j in jobs]
+            def runner(sigma=sigma, si=si, r=r):
+                rng = np.random.default_rng((spec.seed, si, r))
+                nominal = build_array(spec.config)
+                true_array = perturb_array(nominal, sigma, rng)
+                sim = simulate(spec.config, scene, snr_db=float("inf"), rng=rng,
+                               array=true_array)
+                result = reconstruct(spec.config, sim.data, array=nominal,
+                                     chi_true=sim.chi_true)
+                return {"sigma": sigma, "realization": r, "rel_error": result.rel_error,
+                        "wall_time": result.wall_time}
+
+            params = {"sigma": sigma, "sigma_index": si, "realization": r}
+            cells.append((spec.config, params, runner))
+    rows = _run_cells("monte_carlo", spec, cells, out_dir,
+                      ["sigma", "realization", "rel_error", "wall_time"])
 
     out: dict[float, dict] = {}
     for sigma in spec.sigmas:
-        errs = np.array([r["rel_error"] for r in rows if r["sigma"] == float(sigma)])
-        q = np.percentile(errs, [0, 25, 50, 75, 100])
+        errs = np.array([r["rel_error"] for r in rows
+                         if r["sigma"] == float(sigma) and "error" not in r])
+        q = np.percentile(errs, [0, 25, 50, 75, 100]) if errs.size else np.full(5, np.nan)
         out[float(sigma)] = {"errors": errs.tolist(),
                              "stats": {"min": q[0], "q1": q[1], "median": q[2],
                                        "q3": q[3], "max": q[4]}}
     if out_dir is not None:
-        _write_csv(Path(out_dir) / "monte_carlo.csv", rows,
-                   ["sigma", "realization", "rel_error", "wall_time"])
         stats_rows = [{"sigma": s, **v["stats"]} for s, v in out.items()]
         _write_csv(Path(out_dir) / "monte_carlo_stats.csv", stats_rows,
                    ["sigma", "min", "q1", "median", "q3", "max"])

@@ -85,6 +85,16 @@ def test_mismatched_data_is_runtime_error(sim_dir, tmp_path, capsys):
     assert code == 2
 
 
+def test_unknown_study_spec_key_is_runtime_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    tiny = {"m1": 16, "m2": 16, "m_f": 3, "n_tx": 8, "n_rx": 8, "k_iters": 2}
+    spec.write_text(json.dumps({"kind": "ablation", "ablations": [], "config": tiny,
+                                "workers": 2}))
+    code = main(["study", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # simulate artifacts
 

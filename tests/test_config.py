@@ -39,6 +39,10 @@ def test_explicit_ring_radius_wins():
     dict(k_iters=-1),
     dict(learn_rate=0.0),
     dict(ring_radius=1.0),        # inside the circumscribed circle of the domain
+    dict(solver_maxiter=0),
+    dict(solver_tol=0.0),
+    dict(tau_b=0.0),
+    dict(cco=CcoParams(gf_radius=0)),
 ])
 def test_validate_rejects(kwargs):
     with pytest.raises(ConfigError):

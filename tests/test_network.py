@@ -41,13 +41,6 @@ def test_forward_shapes_and_width_check(tiny_alpha0):
         forward_net(params, tiny_alpha0[:, :10])
 
 
-def test_joint_mode_concatenates_views(tiny_alpha0):
-    n, m0 = tiny_alpha0.shape
-    params = init_network(n * m0, np.random.default_rng(3))
-    delta = forward_net(params, tiny_alpha0, joint=True)
-    assert delta.shape == (n, m0)
-
-
 def test_flatten_round_trip():
     params = init_network(36, np.random.default_rng(4))
     flat = flatten_params(params)

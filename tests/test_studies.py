@@ -110,7 +110,22 @@ def test_spurious_gap_pixels_counts_only_gap_hits():
 # Study kinds, small scale
 
 
-def test_sweep_rows_and_resume(tmp_path, small_spec):
+def _count_reconstructs(monkeypatch):
+    """Count calls of the reconstruct that the study cells look up."""
+    from pdfisp import studies
+
+    calls = []
+    real = studies.reconstruct
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "reconstruct", counted)
+    return calls
+
+
+def test_sweep_rows_and_resume(tmp_path, small_spec, monkeypatch):
     import dataclasses
 
     spec = dataclasses.replace(small_spec, kind="sweep", axes={"beta": [4.0, 6.0]})
@@ -121,6 +136,16 @@ def test_sweep_rows_and_resume(tmp_path, small_spec):
 
     rows2 = run_sweep(spec, out_dir=tmp_path)
     assert rows2 == rows      # wall_time identical: loaded, not re-run
+
+    # a stored cell is reused only for the same base config and scene
+    calls = _count_reconstructs(monkeypatch)
+    changed = dataclasses.replace(spec, config=dataclasses.replace(spec.config, lambda1=0.5))
+    run_sweep(changed, out_dir=tmp_path)
+    assert len(calls) == 2
+    run_sweep(dataclasses.replace(spec, scene_scale=0.5), out_dir=tmp_path)
+    assert len(calls) == 4
+    assert run_sweep(spec, out_dir=tmp_path) == rows
+    assert len(calls) == 4
 
 
 def test_noise_study_grid(small_spec):
@@ -174,12 +199,12 @@ def test_ablation_variants(small_spec):
         assert {"rel_error", "peak_eps", "n_below_one", "gap_spurious"} <= set(row)
 
 
-def test_monte_carlo_deterministic(small_spec):
+def test_monte_carlo_deterministic(tmp_path, small_spec, monkeypatch):
     import dataclasses
 
     spec = dataclasses.replace(small_spec, kind="monte_carlo",
                                sigmas=(0.001,), n_realizations=3)
-    out = run_monte_carlo(spec)
+    out = run_monte_carlo(spec, out_dir=tmp_path)
     errs = out[0.001]["errors"]
     assert len(errs) == 3
     stats = out[0.001]["stats"]
@@ -188,6 +213,41 @@ def test_monte_carlo_deterministic(small_spec):
 
     again = run_monte_carlo(spec)
     assert again[0.001]["errors"] == errs
+
+    calls = _count_reconstructs(monkeypatch)
+    resumed = run_monte_carlo(spec, out_dir=tmp_path)
+    assert calls == []
+    assert resumed[0.001]["errors"] == errs
+
+
+def test_monte_carlo_failed_realization_is_an_error_row(tmp_path, small_spec, monkeypatch):
+    import dataclasses
+
+    from pdfisp import studies
+
+    spec = dataclasses.replace(small_spec, kind="monte_carlo",
+                               sigmas=(0.001, 0.002), n_realizations=2)
+    calls = []
+    real = studies.simulate
+
+    def fails_after_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("solver blew up")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "simulate", fails_after_first)
+    out = run_monte_carlo(spec, out_dir=tmp_path)
+    assert len(calls) == 4
+    assert len(out[0.001]["errors"]) == 1
+    assert out[0.001]["stats"]["median"] == out[0.001]["errors"][0]
+    assert out[0.002]["errors"] == []
+    assert all(np.isnan(v) for v in out[0.002]["stats"].values())
+
+    lines = (tmp_path / "monte_carlo.csv").read_text().splitlines()
+    assert lines[0] == "sigma,realization,rel_error,wall_time,error"
+    assert len(lines) == 5
+    assert sum(line.endswith("RuntimeError: solver blew up") for line in lines) == 3
 
 
 def test_run_study_dispatch(small_spec):
