@@ -34,7 +34,7 @@ from scipy.special import expit as _sigmoid
 
 from .cie import ContrastRecovery, chi_to_r, physical_branch, pixel_least_squares
 from .forward import GreensOperators, ScatteredData
-from .spectral import SpectralBasis, SpectralOperators
+from .spectral import SpectralBasis, SpectralOperators, expand
 
 EPS_TV = 1e-12  # smoothing inside the TV square root
 
@@ -115,7 +115,7 @@ class LossContext:
 
         With homogeneous=True, E is the scattered part alpha K alone.
         """
-        j = self.maps.expand(alpha)
+        j = expand(self.basis, alpha)
         e = self.maps.scattered_field(alpha)
         return j, (e if homogeneous else self.e_inc + e)
 

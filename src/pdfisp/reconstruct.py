@@ -26,6 +26,7 @@ from .network import (AdamState, adam_step, forward_net, grad_loss, init_network
 from .spectral import SpectralBasis, SpectralOperators
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to the first
 
 
 @dataclass
@@ -143,18 +144,23 @@ def csi_descent(obj: CsiObjective, n_views: int, target_data_loss: float,
     """Steepest descent with exact line search on the frozen-contrast objective.
 
     Reference solver for speed comparisons: runs until its data term matches
-    target_data_loss or the wall-clock limit expires.
+    target_data_loss, the wall-clock limit expires, or it has converged
+    (gradient norm at most CONVERGED_GRAD times the first, or a zero step):
+    the objective is a convex quadratic, so no later step moves the data term.
     """
     alpha = np.zeros((n_views, obj.basis.m0), dtype=np.complex128)
     t0 = time.perf_counter()
     iters = 0
+    g_stop = None
     state_l, data_l = obj.value_parts(alpha)
     while data_l > target_data_loss and iters < max_iters:
         if time.perf_counter() - t0 > time_limit:
             break
         g = obj.grad(alpha)
+        g_norm = np.linalg.norm(g)
+        g_stop = CONVERGED_GRAD * g_norm if g_stop is None else g_stop
         step = obj.exact_step(g)
-        if step == 0.0:
+        if step == 0.0 or g_norm <= g_stop:
             break
         alpha = alpha - step * g
         state_l, data_l = obj.value_parts(alpha)

@@ -8,16 +8,23 @@ magnitudes grid-size-stable.
 
 Block order is fixed (network weights are ordering-sensitive): top-left,
 top-right, bottom-left, bottom-right in DFT index space, row-major inside
-each block.
+each block. Both maps are separable partial DFTs over the 2*m_f retained
+frequencies per axis; no full-size spectrum is formed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .forward import GreensOperators, apply_gd
+
+
+def _inverse_dft_factor(m: int, m_f: int) -> np.ndarray:
+    """(m, 2*m_f) inverse-DFT columns of frequencies 0..m_f-1, m-m_f..m-1, over m."""
+    freqs = np.concatenate([np.arange(m_f), np.arange(m - m_f, m)])
+    phase = np.outer(np.arange(m), freqs) % m     # exact, keeps the angle in [0, 2 pi)
+    return np.exp(2j * np.pi * phase / m) / m
 
 
 @dataclass(frozen=True)
@@ -25,34 +32,19 @@ class SpectralBasis:
     m1: int
     m2: int
     m_f: int
-    rows: np.ndarray = field(init=False)
-    cols: np.ndarray = field(init=False)
+    row_factor: np.ndarray = field(init=False, repr=False, compare=False)  # (m1, 2*m_f)
+    col_factor: np.ndarray = field(init=False, repr=False, compare=False)  # (m2, 2*m_f)
 
     def __post_init__(self):
         if self.m_f < 1 or 2 * self.m_f > min(self.m1, self.m2):
             raise ValueError("corner blocks must not overlap: need 2*m_f <= min(m1, m2)")
-        f = self.m_f
-        lo_r = np.arange(f)
-        hi_r = np.arange(self.m1 - f, self.m1)
-        lo_c = np.arange(f)
-        hi_c = np.arange(self.m2 - f, self.m2)
-        rows, cols = [], []
-        for rblk in (lo_r, hi_r):
-            for cblk in (lo_c, hi_c):
-                rr, cc = np.meshgrid(rblk, cblk, indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-        object.__setattr__(self, "rows", np.concatenate(rows))
-        object.__setattr__(self, "cols", np.concatenate(cols))
+        object.__setattr__(self, "row_factor", _inverse_dft_factor(self.m1, self.m_f))
+        object.__setattr__(self, "col_factor", _inverse_dft_factor(self.m2, self.m_f))
 
     @property
     def m0(self) -> int:
         """Coefficient count 4*m_f**2."""
         return 4 * self.m_f * self.m_f
-
-    @property
-    def n_cells(self) -> int:
-        return self.m1 * self.m2
 
 
 def truncate(basis: SpectralBasis, j_view: np.ndarray) -> np.ndarray:
@@ -63,8 +55,11 @@ def truncate(basis: SpectralBasis, j_view: np.ndarray) -> np.ndarray:
     j_view = np.asarray(j_view)
     if j_view.shape[-2:] != (basis.m1, basis.m2):
         raise ValueError(f"expected trailing dims ({basis.m1}, {basis.m2})")
-    spec = sfft.fft2(j_view, axes=(-2, -1))
-    return spec[..., basis.rows, basis.cols]
+    blocks = np.conj(basis.row_factor.T) @ j_view @ np.conj(basis.col_factor)
+    blocks *= basis.m1 * basis.m2
+    f = basis.m_f
+    lead = blocks.shape[:-2]
+    return blocks.reshape(lead + (2, f, 2, f)).swapaxes(-3, -2).reshape(lead + (basis.m0,))
 
 
 def expand(basis: SpectralBasis, alpha: np.ndarray) -> np.ndarray:
@@ -76,9 +71,10 @@ def expand(basis: SpectralBasis, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.complex128)
     if alpha.shape[-1] != basis.m0:
         raise ValueError(f"expected trailing dim {basis.m0}")
-    spec = np.zeros(alpha.shape[:-1] + (basis.m1, basis.m2), dtype=np.complex128)
-    spec[..., basis.rows, basis.cols] = alpha
-    return sfft.ifft2(spec, axes=(-2, -1))
+    f = basis.m_f
+    lead = alpha.shape[:-1]
+    blocks = alpha.reshape(lead + (2, 2, f, f)).swapaxes(-3, -2).reshape(lead + (2 * f, 2 * f))
+    return basis.row_factor @ blocks @ basis.col_factor.T
 
 
 def truncate_adjoint_scale(basis: SpectralBasis) -> float:
@@ -93,46 +89,35 @@ def truncate_adjoint_scale(basis: SpectralBasis) -> float:
 class SpectralOperators:
     """Dense coefficient-space maps of one geometry and spectral basis.
 
-    Row k of each map is the image of the k-th unit coefficient vector:
+    With B = expand(I) (J = alpha B, not stored: `expand` is cheaper), row
+    k of each map is the image of the k-th unit coefficient vector:
 
-    - currents  B = expand(I), shape (m0, m1*m2): J = alpha @ B
     - fields    K = G_D B,     shape (m0, m1*m2): G_D J = alpha @ K
     - receivers S = B G_S^T,   shape (m0, n_rx):  G_S J = alpha @ S
 
     The coefficient space has only m0 = 4*m_f**2 dimensions, so a dense
-    product replaces the padded FFT convolutions of expand/apply_gd in the
-    inner loop. The adjoints (convention g(u) = A^H g(v) for v = A u) are
+    product replaces the padded FFT convolution of apply_gd in the inner
+    loop. The adjoints (convention g(u) = A^H g(v) for v = A u) are
     products with the conjugate transposes, see `coefficient_grad`.
     """
 
-    currents: np.ndarray
     fields: np.ndarray
     receivers: np.ndarray
-    m1: int
-    m2: int
+    basis: SpectralBasis
 
     @classmethod
     def build(cls, ops: GreensOperators, basis: SpectralBasis) -> "SpectralOperators":
         """Precompute the maps for Green's operators `ops` (m0 FFT convolutions)."""
         if (ops.m1, ops.m2) != (basis.m1, basis.m2):
             raise ValueError("Green's operators and spectral basis disagree in grid size")
-        eye = np.eye(basis.m0, dtype=np.complex128)
-        b_img = expand(basis, eye)
+        b_img = expand(basis, np.eye(basis.m0, dtype=np.complex128))
         k_img = apply_gd(ops, b_img)
-        b = b_img.reshape(basis.m0, -1)
-        return cls(currents=b, fields=k_img.reshape(basis.m0, -1),
-                   receivers=b @ ops.gs_matrix.T, m1=basis.m1, m2=basis.m2)
-
-    def _images(self, rows: np.ndarray) -> np.ndarray:
-        return rows.reshape(rows.shape[:-1] + (self.m1, self.m2))
-
-    def expand(self, alpha: np.ndarray) -> np.ndarray:
-        """Current images J, shape (n, m1, m2)."""
-        return self._images(alpha @ self.currents)
+        return cls(fields=k_img.reshape(basis.m0, -1),
+                   receivers=b_img.reshape(basis.m0, -1) @ ops.gs_matrix.T, basis=basis)
 
     def scattered_field(self, alpha: np.ndarray) -> np.ndarray:
         """Domain fields G_D J, shape (n, m1, m2)."""
-        return self._images(alpha @ self.fields)
+        return (alpha @ self.fields).reshape(alpha.shape[:-1] + (self.basis.m1, self.basis.m2))
 
     def measure(self, alpha: np.ndarray) -> np.ndarray:
         """Receiver fields G_S J, shape (n, n_rx)."""
@@ -143,10 +128,11 @@ class SpectralOperators:
         """Pull gradients on J, on G_D J and on G_S J back to the coefficients.
 
         Returns B^H g_j + K^H g_e + S^H g_rows in row form, shape (n, m0).
-        Conjugating the (n, .) gradients is cheaper than the (m0, .) maps.
+        B^H g_j is truncate(g_j) / (m1*m2), see `truncate_adjoint_scale`;
+        for the dense maps, conjugating the (n, .) gradients is cheaper than
+        the (m0, .) maps.
         """
         n = g_rows.shape[0]
-        acc = np.conj(g_j.reshape(n, -1)) @ self.currents.T
-        acc += np.conj(g_e.reshape(n, -1)) @ self.fields.T
+        acc = np.conj(g_e.reshape(n, -1)) @ self.fields.T
         acc += np.conj(g_rows) @ self.receivers.T
-        return np.conj(acc)
+        return np.conj(acc) + truncate_adjoint_scale(self.basis) * truncate(self.basis, g_j)

@@ -8,6 +8,7 @@ assigned deterministically per cell, so reruns reproduce tables exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -235,15 +236,20 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
 
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
-    """Full pipeline versus single-switch ablations on one shared dataset."""
-    sim = simulate(spec.config, spec.scene(), snr_db=spec.snr_db,
-                   rng=np.random.default_rng(spec.seed))
+    """Full pipeline versus single-switch ablations on one shared dataset,
+    simulated on first use (a fully resumed study solves nothing)."""
+    @functools.cache
+    def shared_sim() -> SimulationResult:
+        return simulate(spec.config, spec.scene(), snr_db=spec.snr_db,
+                        rng=np.random.default_rng(spec.seed))
+
     variants = [("full", {})] + [(n, ABLATION_FLAGS[n]) for n in spec.ablations]
     cells = []
     for name, overrides in variants:
         cfg = dc_replace(spec.config, **overrides)
 
         def runner(cfg=cfg, name=name):
+            sim = shared_sim()
             result = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
             metrics = _cell_metrics(result)
             eps = result.eps_r.real

@@ -97,6 +97,22 @@ def corner_mask(m1: int, m2: int, m_f: int) -> np.ndarray:
     return np.outer(rows, cols)
 
 
+def corner_indices(m1: int, m2: int, m_f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) DFT indices of the 4*m_f**2 coefficients, in coefficient order.
+
+    Blocks top-left, top-right, bottom-left, bottom-right; row-major
+    inside each block.
+    """
+    rows, cols = [], []
+    for r0 in (0, m1 - m_f):
+        for c0 in (0, m2 - m_f):
+            for r in range(r0, r0 + m_f):
+                for c in range(c0, c0 + m_f):
+                    rows.append(r)
+                    cols.append(c)
+    return np.array(rows), np.array(cols)
+
+
 # ----------------------------------------------------------------------
 # Dense domain Green operator from first principles
 

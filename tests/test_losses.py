@@ -122,7 +122,8 @@ def test_data_term_with_mask(tiny_setup, tiny_sim):
 
     # currents by direct inverse DFT of the corner-block coefficients
     spec = np.zeros((n, 16, 16), dtype=complex)
-    spec[:, setup.basis.rows, setup.basis.cols] = alpha
+    rows, cols = oracles.corner_indices(16, 16, setup.basis.m_f)
+    spec[:, rows, cols] = alpha
     j = np.stack([oracles.idft2_direct(s) for s in spec]).reshape(n, -1)
     k0, centers, cs = setup.config.wavenumber, setup.grid.centers, setup.grid.cell_size
     state, data = oracles.loss_residual_terms(

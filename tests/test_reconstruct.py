@@ -95,6 +95,29 @@ def test_descent_baseline_decreases_and_reports(tiny_setup, tiny_sim):
     assert quick["reached"] and quick["iters"] == 0
 
 
+def test_descent_stops_once_converged(tiny_setup, tiny_sim):
+    """An unreachable target: the descent returns by convergence well
+    before its time limit, at the exact minimum of the quadratic."""
+    obj = _objective(tiny_setup, tiny_sim)
+    out = csi_descent(obj, n_views=8, target_data_loss=0.0, time_limit=20.0)
+    assert not out["reached"] and out["elapsed"] < 10.0
+
+    # per view, least squares on the stacked normalized residuals
+    ctx, n, m0 = obj.ctx, 8, tiny_setup.basis.m0
+
+    def stacked(alpha, homogeneous):
+        res = ctx.residuals(alpha, obj.r0, homogeneous=homogeneous)
+        return np.concatenate([res.state.reshape(n, -1) / np.sqrt(ctx.c_inc),
+                               res.data / np.sqrt(ctx.c_sca)], axis=1)
+
+    a = np.stack([stacked(np.tile(e, (n, 1)), True) for e in np.eye(m0)], axis=-1)
+    b = stacked(np.zeros((n, m0)), False)
+    best = np.stack([np.linalg.lstsq(a[v], -b[v], rcond=None)[0] for v in range(n)])
+    state, data = obj.value_parts(best)
+    assert out["state_loss"] + out["data_loss"] == pytest.approx(state + data, rel=1e-12)
+    assert out["data_loss"] == pytest.approx(data, rel=1e-10)
+
+
 # ----------------------------------------------------------------------
 # Metrics
 

@@ -199,6 +199,28 @@ def test_ablation_variants(small_spec):
         assert {"rel_error", "peak_eps", "n_below_one", "gap_spurious"} <= set(row)
 
 
+def test_ablation_simulates_once_and_not_on_resume(tmp_path, small_spec, monkeypatch):
+    import dataclasses
+
+    from pdfisp import studies
+
+    spec = dataclasses.replace(small_spec, kind="ablation", ablations=("no_tv",))
+    sims = []
+    real = studies.simulate
+
+    def counted(*args, **kwargs):
+        sims.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "simulate", counted)
+    first = run_ablation(spec, out_dir=tmp_path)
+    assert len(sims) == 1                # one dataset shared by both variants
+
+    calls = _count_reconstructs(monkeypatch)
+    assert run_ablation(spec, out_dir=tmp_path) == first
+    assert len(sims) == 1 and calls == []
+
+
 def test_monte_carlo_deterministic(tmp_path, small_spec, monkeypatch):
     import dataclasses
 
