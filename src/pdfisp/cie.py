@@ -68,7 +68,6 @@ class ContrastRecovery:
     chi: np.ndarray           # (m1, m2)
     j_views: np.ndarray       # (n, m1, m2) currents expand(alpha)
     e_views: np.ndarray       # (n, m1, m2) total fields E_inc + G_D J
-    numerator: np.ndarray     # (m1, m2) sum_i J_i conj(E_i)
     denominator: np.ndarray   # (m1, m2) real, sum_i |E_i|^2 + eps_reg
     eps_reg: float
     degenerate: np.ndarray    # (m1, m2) bool, denominator <= 10*eps_reg
@@ -86,6 +85,5 @@ def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray,
     num = np.einsum("nij,nij->ij", j_views, np.conj(e_views))
     den = np.einsum("nij,nij->ij", e_views, np.conj(e_views)).real + eps_reg
     chi = num / den
-    return ContrastRecovery(chi=chi, j_views=j_views, e_views=e_views, numerator=num,
-                            denominator=den, eps_reg=eps_reg,
-                            degenerate=den <= 10.0 * eps_reg)
+    return ContrastRecovery(chi=chi, j_views=j_views, e_views=e_views, denominator=den,
+                            eps_reg=eps_reg, degenerate=den <= 10.0 * eps_reg)

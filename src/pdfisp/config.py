@@ -123,15 +123,6 @@ class ImagingConfig:
             return self.ring_radius
         return 20.0 * self.wavelength
 
-    @property
-    def cell_size(self) -> float:
-        return self.doi_side / self.m1
-
-    @property
-    def m0(self) -> int:
-        """Spectral coefficient count per view."""
-        return 4 * self.m_f * self.m_f
-
     def validate(self) -> "ImagingConfig":
         """Check invariants; return self on success, raise ConfigError otherwise."""
         if self.frequency <= 0:
@@ -178,15 +169,13 @@ def config_to_dict(config: ImagingConfig) -> dict[str, Any]:
 def config_from_dict(d: dict[str, Any]) -> ImagingConfig:
     d = dict(d)
     cco = d.pop("cco", None)
-    kwargs: dict[str, Any] = {}
     names = {f.name for f in dataclasses.fields(ImagingConfig)}
     unknown = set(d) - names
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs.update(d)
     if cco is not None:
-        kwargs["cco"] = CcoParams(**cco)
-    return ImagingConfig(**kwargs).validate()
+        d["cco"] = CcoParams(**cco)
+    return ImagingConfig(**d).validate()
 
 
 def save_config(path, config: ImagingConfig) -> None:

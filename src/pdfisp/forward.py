@@ -35,7 +35,7 @@ class NoConvergenceError(RuntimeError):
     """Raised when the Krylov forward solve exceeds its iteration cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldSet:
     """Per-transmitter stacks of complex field images, shape (n_views, m1, m2).
 
@@ -70,26 +70,19 @@ class GreensOperators:
 
     gd_kernel is the (2*m1, 2*m2) circular-convolution kernel indexed by
     cell displacement (row/column offsets modulo the padded size); its
-    [0, 0] entry is the analytic self term gd_diag. gd_kernel_hat caches
-    its 2-D FFT. gs_matrix maps flattened cell currents to receiver fields.
+    [0, 0] entry is the analytic self term. gd_kernel_hat caches its 2-D
+    FFT. gs_matrix maps flattened cell currents to receiver fields.
     """
 
     gd_kernel: np.ndarray
     gd_kernel_hat: np.ndarray
-    gd_diag: complex
     gs_matrix: np.ndarray
-    k0: float
     m1: int
     m2: int
-    cell_size: float
 
     @property
     def n_cells(self) -> int:
         return self.m1 * self.m2
-
-    @property
-    def n_rx(self) -> int:
-        return self.gs_matrix.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +122,7 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
     kernel = np.zeros((2 * m1, 2 * m2), dtype=np.complex128)
     off = rho > 0
     kernel[off] = coef * j1(k0 * a) * hankel1_0(k0 * rho[off])
-    diag = complex(coef * (j1(k0 * a) + 1j * y1(k0 * a)) - 1.0)
-    kernel[0, 0] = diag
+    kernel[0, 0] = coef * (j1(k0 * a) + 1j * y1(k0 * a)) - 1.0
     kernel[m1, :] = 0.0
     kernel[:, m2] = 0.0
 
@@ -141,7 +133,7 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
     gs = coef * j1(k0 * a) * hankel1_0(k0 * d_rx)
 
     return GreensOperators(gd_kernel=kernel, gd_kernel_hat=sfft.fft2(kernel),
-                           gd_diag=diag, gs_matrix=gs, k0=k0, m1=m1, m2=m2, cell_size=cs)
+                           gs_matrix=gs, m1=m1, m2=m2)
 
 
 def apply_gd(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
@@ -151,11 +143,6 @@ def apply_gd(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
     pad[..., :m1, :m2] = x
     out = sfft.ifft2(sfft.fft2(pad, axes=(-2, -1)) * ops.gd_kernel_hat, axes=(-2, -1))
     return out[..., :m1, :m2]
-
-
-def apply_gd_adjoint(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint of G_D; uses the complex symmetry of the kernel."""
-    return np.conj(apply_gd(ops, np.conj(x)))
 
 
 def dense_gd_matrix(ops: GreensOperators) -> np.ndarray:
@@ -313,22 +300,15 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
         rng = np.random.default_rng(config.rng_seed)
     if array is None:
         array = build_array(config)
-    grid = build_grid(config)
-    chi_true = rasterize(scene, grid)
-
+    chi_true = rasterize(scene, build_grid(config))
+    sim_cfg = config
     if config.fine_forward:
-        fine_cfg = dc_replace(config, m1=2 * config.m1, m2=2 * config.m2,
-                              ring_radius=config.radius, fine_forward=False)
-        fine_grid = build_grid(fine_cfg)
-        chi_sim = rasterize(scene, fine_grid)
-        ops = build_greens(fine_cfg, array, fine_grid)
-        e_inc = incident_fields(fine_cfg, array, fine_grid)
-        sim_cfg = fine_cfg
-    else:
-        chi_sim = chi_true
-        ops = build_greens(config, array, grid)
-        e_inc = incident_fields(config, array, grid)
-        sim_cfg = config
+        sim_cfg = dc_replace(config, m1=2 * config.m1, m2=2 * config.m2,
+                             ring_radius=config.radius, fine_forward=False)
+    grid = build_grid(sim_cfg)
+    chi_sim = chi_true if sim_cfg is config else rasterize(scene, grid)
+    ops = build_greens(sim_cfg, array, grid)
+    e_inc = incident_fields(sim_cfg, array, grid)
 
     e_tot = solve_total_field(chi_sim, e_inc, ops, tol=sim_cfg.solver_tol,
                               maxiter=sim_cfg.solver_maxiter)

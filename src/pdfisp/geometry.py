@@ -26,16 +26,6 @@ class GridGeometry:
     def n_cells(self) -> int:
         return self.m1 * self.m2
 
-    @property
-    def xs(self) -> np.ndarray:
-        """Column x-coordinates, shape (m2,)."""
-        return self.centers.reshape(self.m1, self.m2, 2)[0, :, 0]
-
-    @property
-    def ys(self) -> np.ndarray:
-        """Row y-coordinates, shape (m1,)."""
-        return self.centers.reshape(self.m1, self.m2, 2)[:, 0, 1]
-
 
 @dataclass(frozen=True)
 class AntennaArray:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import expit as _sigmoid
 
 from .cie import ContrastRecovery, chi_to_r, physical_branch, pixel_least_squares
-from .forward import GreensOperators, ScatteredData
+from .forward import ScatteredData
 from .spectral import SpectralBasis, SpectralOperators, expand
 
 EPS_TV = 1e-12  # smoothing inside the TV square root
@@ -70,22 +70,20 @@ class Residuals(NamedTuple):
 class LossContext:
     """Everything a loss evaluation needs besides the coefficients.
 
-    `maps` holds the precomputed coefficient-space operators of (ops,
-    basis); it is built on construction unless a caller that already has
-    them passes them in. `c_sca` and `c_inc` are the measured (masked) and
-    incident powers over all views jointly, the normalizers of the data
-    and state terms.
+    `maps` holds the precomputed coefficient-space operators of one
+    geometry and spectral basis (`reconstruct.Problem` builds them once);
+    the basis is read from it. `c_sca` and `c_inc` are the measured
+    (masked) and incident powers over all views jointly, the normalizers
+    of the data and state terms.
     """
 
     data: ScatteredData
     e_inc: np.ndarray          # (n_views, m1, m2)
-    ops: GreensOperators
-    basis: SpectralBasis
+    maps: SpectralOperators
     beta: float
     lambdas: tuple[float, float, float]
     tau_b: float
     r_fixed: np.ndarray | None = None   # freeze the modified contrast here
-    maps: SpectralOperators | None = None
     c_sca: float = field(init=False)
     c_inc: float = field(init=False)
 
@@ -94,8 +92,6 @@ class LossContext:
             raise ValueError(
                 f"view count mismatch: data has {self.data.matrix.shape[0]} rows, "
                 f"incident fields have {self.e_inc.shape[0]}")
-        if self.maps is None:
-            self.maps = SpectralOperators.build(self.ops, self.basis)
         self.c_sca = _power(self._masked(self.data.matrix))
         self.c_inc = _power(self.e_inc)
         if self.c_sca <= 0:
@@ -104,8 +100,8 @@ class LossContext:
             raise ZeroDataError("incident power is zero")
 
     @property
-    def n_views(self) -> int:
-        return self.e_inc.shape[0]
+    def basis(self) -> SpectralBasis:
+        return self.maps.basis
 
     def _masked(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.data.mask is None else rows * self.data.mask
@@ -278,7 +274,6 @@ def regularizer_chi_grad(chi: np.ndarray, lambdas: tuple[float, float, float],
 class PipelineState:
     """Intermediates of one composite-loss evaluation at coefficients alpha_hat."""
 
-    alpha_hat: np.ndarray      # (n, m0)
     rec: ContrastRecovery
     r_hat: np.ndarray          # (m1, m2)
     res: Residuals
@@ -310,7 +305,7 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
         raise FloatingPointError(f"nonfinite loss term(s): {bad}")
     bd = LossBreakdown(total=total, state=l_state, data=l_data, bound=l_bound,
                        tv=l_tv, bridge=l_bridge, weights=ctx.lambdas)
-    return PipelineState(alpha_hat=alpha_hat, rec=rec, r_hat=r_hat, res=res, breakdown=bd)
+    return PipelineState(rec=rec, r_hat=r_hat, res=res, breakdown=bd)
 
 
 def loss_total(alpha: np.ndarray, ctx: LossContext) -> LossBreakdown:

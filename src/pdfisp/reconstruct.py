@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace as dc_replace
+from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage
@@ -20,7 +21,7 @@ from .config import ImagingConfig
 from .filters import apply_cco
 from .forward import (FieldSet, GreensOperators, ScatteredData, apply_gd,
                       apply_gs_adjoint, build_greens, incident_fields)
-from .geometry import AntennaArray, ComplexGrid, build_array, build_grid
+from .geometry import AntennaArray, ComplexGrid, GridGeometry, build_array, build_grid
 from .losses import LossBreakdown, LossContext, pipeline_forward
 from .network import (AdamState, adam_step, forward_net, grad_loss, init_network)
 from .spectral import SpectralBasis, SpectralOperators
@@ -33,7 +34,6 @@ CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to t
 class ReconstructionResult:
     chi_hat: ComplexGrid          # contrast before compensation
     chi_cco: ComplexGrid          # after contrast compensation
-    chi0: ComplexGrid             # backprojection initialization
     trace: list[LossBreakdown]    # one entry per iteration
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
@@ -43,6 +43,61 @@ class ReconstructionResult:
     def eps_r(self) -> np.ndarray:
         """Relative permittivity map chi_cco + 1 (complex)."""
         return self.chi_cco.values + 1.0
+
+
+# ----------------------------------------------------------------------
+# Geometry
+
+
+@dataclass(frozen=True)
+class Problem:
+    """What the geometry fixes (antennas, grid, Green's operators, incident
+    fields, spectral basis and coefficient-space maps), plus a config.
+
+    `build` keeps the last geometry of the process, keyed by frequency,
+    domain, grid and basis sizes and antenna positions, with its arrays
+    read-only, and returns it with the caller's config swapped in.
+    """
+
+    config: ImagingConfig
+    array: AntennaArray
+    grid: GridGeometry
+    ops: GreensOperators
+    e_inc: FieldSet
+    basis: SpectralBasis
+    maps: SpectralOperators
+    _cache: ClassVar[dict] = {}
+
+    @classmethod
+    def build(cls, config: ImagingConfig, array: AntennaArray | None = None) -> "Problem":
+        """The problem of `config` on `array` (the config's ring when None)."""
+        config.validate()
+        array = build_array(config) if array is None else array
+        tx, rx = (np.array(p, dtype=float) for p in (array.tx_positions, array.rx_positions))
+        key = (config.frequency, config.doi_side, config.m1, config.m2, config.m_f,
+               tx.tobytes(), rx.tobytes())
+        if key not in cls._cache:
+            array = AntennaArray(tx_positions=tx, rx_positions=rx)
+            grid = build_grid(config)
+            ops = build_greens(config, array, grid)
+            e_inc = incident_fields(config, array, grid)
+            basis = SpectralBasis(config.m1, config.m2, config.m_f)
+            maps = SpectralOperators.build(ops, basis)
+            for a in (tx, rx, grid.centers, ops.gd_kernel, ops.gd_kernel_hat, ops.gs_matrix,
+                      e_inc.views, basis.row_factor, basis.col_factor, maps.fields,
+                      maps.receivers):
+                a.flags.writeable = False
+            cls._cache.clear()
+            cls._cache[key] = cls(config, array, grid, ops, e_inc, basis, maps)
+        return dc_replace(cls._cache[key], config=config)
+
+    def loss_context(self, data: ScatteredData,
+                     r_fixed: np.ndarray | None = None) -> LossContext:
+        """The composite loss of `data` under this problem's config."""
+        cfg = self.config
+        return LossContext(data=data, e_inc=self.e_inc.views, maps=self.maps,
+                           beta=cfg.beta, lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
+                           tau_b=cfg.tau_b, r_fixed=r_fixed)
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +134,8 @@ class CsiObjective:
     plain-descent reference solver. It is the loss context with
     r_fixed=r0 and no regularizers, evaluated through the residual
     functions alone (no least-squares contrast), plus the curvature of the
-    quadratic for the exact line search. Uses the same precomputed
-    coefficient-space maps as the main loop (built here unless passed).
+    quadratic for the exact line search. Takes the main loop's precomputed
+    maps when given, and builds them from (ops, basis) otherwise.
     """
 
     r0: np.ndarray
@@ -93,10 +148,11 @@ class CsiObjective:
     ctx: LossContext = field(init=False)
 
     def __post_init__(self, maps):
+        if maps is None:
+            maps = SpectralOperators.build(self.ops, self.basis)
         # tau_b only shapes the bridge term, which zero weights switch off
-        self.ctx = LossContext(data=self.data, e_inc=self.e_inc, ops=self.ops,
-                               basis=self.basis, beta=self.beta, lambdas=(0.0, 0.0, 0.0),
-                               tau_b=1.0, r_fixed=self.r0, maps=maps)
+        self.ctx = LossContext(data=self.data, e_inc=self.e_inc, maps=maps, beta=self.beta,
+                               lambdas=(0.0, 0.0, 0.0), tau_b=1.0, r_fixed=self.r0)
 
     def value_parts(self, alpha: np.ndarray) -> tuple[float, float]:
         """Normalized (state, data) terms at coefficients alpha."""
@@ -126,7 +182,7 @@ def init_alpha(r0: np.ndarray, data: ScatteredData, e_inc: FieldSet,
 
     The frozen-contrast objective is quadratic, so the optimal step along
     the negative gradient is closed-form and parameter-free. `maps` are the
-    precomputed operators of (ops, basis), built here when not given.
+    precomputed operators of (ops, basis), passed on to `CsiObjective`.
     """
     obj = CsiObjective(r0=r0, e_inc=e_inc.views, data=data, ops=ops, basis=basis,
                        beta=beta, maps=maps)
@@ -180,31 +236,23 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     """Full pipeline from measured data to a permittivity map.
 
     Deterministic under config.rng_seed. chi_true (when available) only
-    feeds the reported relative error; it never influences the solve.
+    feeds the reported relative error; it never influences the solve. The
+    geometry comes from `Problem.build`, which reuses the last one built in
+    this process.
     """
-    config.validate()
     t0 = time.perf_counter()
-    if array is None:
-        array = build_array(config)
-    grid = build_grid(config)
-    ops = build_greens(config, array, grid)
-    e_inc = incident_fields(config, array, grid)
-    basis = SpectralBasis(config.m1, config.m2, config.m_f)
-    if data.matrix.shape != (array.n_tx, array.n_rx):
+    problem = Problem.build(config, array)
+    if data.matrix.shape != (problem.array.n_tx, problem.array.n_rx):
         raise ValueError("data matrix does not match the antenna array")
 
-    maps = SpectralOperators.build(ops, basis)
-    chi0, r0 = bp_initialize(data, e_inc, ops, config.beta)
-    alpha0 = init_alpha(r0, data, e_inc, ops, basis, config.beta, maps=maps)
+    _, r0 = bp_initialize(data, problem.e_inc, problem.ops, config.beta)
+    alpha0 = init_alpha(r0, data, problem.e_inc, problem.ops, problem.basis, config.beta,
+                        maps=problem.maps)
 
     rng = np.random.default_rng(config.rng_seed)
-    net = init_network(basis.m0, rng)
+    net = init_network(problem.basis.m0, rng)
     adam = AdamState.for_params(net, lr=config.learn_rate)
-    ctx = LossContext(data=data, e_inc=e_inc.views, ops=ops, basis=basis,
-                      beta=config.beta, lambdas=(config.lambda1, config.lambda2,
-                                                 config.lambda3),
-                      tau_b=config.tau_b, r_fixed=r0 if config.freeze_r else None,
-                      maps=maps)
+    ctx = problem.loss_context(data, r_fixed=r0 if config.freeze_r else None)
 
     trace: list[LossBreakdown] = []
     for _ in range(config.k_iters):
@@ -222,10 +270,9 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     rel = None
     if chi_true is not None:
         rel = relative_error(chi_cco.real + 1.0, chi_true.values.real + 1.0)
-    cs = grid.cell_size
+    cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
-                                chi_cco=ComplexGrid(chi_cco, cs),
-                                chi0=ComplexGrid(chi0, cs), trace=trace,
+                                chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
                                 final_loss=final_bd, wall_time=wall, rel_error=rel)
 
 

@@ -111,9 +111,12 @@ class SpectralOperators:
         if (ops.m1, ops.m2) != (basis.m1, basis.m2):
             raise ValueError("Green's operators and spectral basis disagree in grid size")
         b_img = expand(basis, np.eye(basis.m0, dtype=np.complex128))
-        k_img = apply_gd(ops, b_img)
-        return cls(fields=k_img.reshape(basis.m0, -1),
-                   receivers=b_img.reshape(basis.m0, -1) @ ops.gs_matrix.T, basis=basis)
+        b_rows = b_img.reshape(basis.m0, -1)
+        fields = np.empty_like(b_rows)
+        step = 2 * basis.m_f     # padded FFT scratch for 2*m_f images at a time
+        for k in range(0, basis.m0, step):
+            fields[k:k + step] = apply_gd(ops, b_img[k:k + step]).reshape(step, -1)
+        return cls(fields=fields, receivers=b_rows @ ops.gs_matrix.T, basis=basis)
 
     def scattered_field(self, alpha: np.ndarray) -> np.ndarray:
         """Domain fields G_D J, shape (n, m1, m2)."""

@@ -114,21 +114,19 @@ def _cell_key(payload: dict) -> str:
 
 
 def _resume_or_run(out_dir, payload: dict, runner) -> dict:
-    """Load a finished cell from disk or execute it and persist the row."""
-    if out_dir is None:
-        return runner()
-    cells = Path(out_dir) / "cells"
-    cells.mkdir(parents=True, exist_ok=True)
-    cell_file = cells / (_cell_key(payload) + ".json")
-    if cell_file.exists():
+    """Load a finished cell from disk or run it; a raising runner gives an `error` row."""
+    cell_file = None if out_dir is None else Path(out_dir) / "cells" / f"{_cell_key(payload)}.json"
+    if cell_file is not None and cell_file.exists():
         with open(cell_file, "r", encoding="utf-8") as fh:
             return json.load(fh)
     try:
         row = runner()
     except Exception as exc:  # record the failure, keep the study going
         row = dict(payload, error=f"{type(exc).__name__}: {exc}")
-    with open(cell_file, "w", encoding="utf-8") as fh:
-        json.dump(row, fh, indent=2, sort_keys=True)
+    if cell_file is not None:
+        cell_file.parent.mkdir(parents=True, exist_ok=True)
+        with open(cell_file, "w", encoding="utf-8") as fh:
+            json.dump(row, fh, indent=2, sort_keys=True)
     return row
 
 
@@ -148,9 +146,9 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
 
     A cell's key hashes everything its row depends on: the study name, the
     hash of the cell's config, the scene, the study seed and the cell's
-    params (index, SNR, variant, realization, ...). With an out_dir, a cell
-    whose key is already stored is loaded instead of run, a cell that
-    raises becomes a row of its key fields plus `error`, and the columns
+    params (index, SNR, variant, realization, ...). A cell that raises
+    becomes a row of its key fields plus `error`. With an out_dir, a cell
+    whose key is already stored is loaded instead of run, and the columns
     that occur in any row are written to <name>.csv.
     """
     rows = []

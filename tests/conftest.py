@@ -3,37 +3,17 @@
 The heavy objects (default-scale simulations and reconstructions, ablation
 studies) are session-scoped because several acceptance criteria and module
 tests read the same runs; building them once keeps the suite inside its
-wall-clock budget on a single core.
+wall-clock budget on a single core. The `*_setup` fixtures are
+`reconstruct.Problem`s: the geometry, operators, incident fields, basis and
+coefficient-space maps of one config, as `reconstruct` builds them.
 """
 import pytest
 
 from pdfisp.config import ImagingConfig
-from pdfisp.forward import build_greens, incident_fields, simulate
-from pdfisp.geometry import build_array, build_grid
-from pdfisp.losses import LossContext
-from pdfisp.reconstruct import reconstruct
+from pdfisp.forward import simulate
+from pdfisp.reconstruct import Problem, reconstruct
 from pdfisp.scenes import builtin_scene
-from pdfisp.spectral import SpectralBasis
 from pdfisp.studies import StudySpec, run_ablation
-
-
-class Setup:
-    """Geometry, operators, and incident fields for one configuration."""
-
-    def __init__(self, config: ImagingConfig):
-        self.config = config
-        self.grid = build_grid(config)
-        self.array = build_array(config)
-        self.ops = build_greens(config, self.array, self.grid)
-        self.e_inc = incident_fields(config, self.array, self.grid)
-        self.basis = SpectralBasis(config.m1, config.m2, config.m_f)
-
-    def loss_context(self, data, r_fixed=None) -> LossContext:
-        cfg = self.config
-        return LossContext(data=data, e_inc=self.e_inc.views, ops=self.ops,
-                           basis=self.basis, beta=cfg.beta,
-                           lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
-                           tau_b=cfg.tau_b, r_fixed=r_fixed)
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +23,7 @@ class Setup:
 @pytest.fixture(scope="session")
 def tiny_setup():
     cfg = ImagingConfig(m1=16, m2=16, m_f=3, n_tx=8, n_rx=8).validate()
-    return Setup(cfg)
+    return Problem.build(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +51,23 @@ def pole_alpha(tiny_setup, tiny_sim):
     return truncate(tiny_setup.basis, chi * tiny_setup.e_inc.views)
 
 
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Start from an empty `Problem` cache and count `SpectralOperators.build` calls."""
+    from pdfisp.spectral import SpectralOperators
+
+    monkeypatch.setattr(Problem, "_cache", {})
+    calls = []
+    build = SpectralOperators.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralOperators, "build", classmethod(counted))
+    return calls
+
+
 # ----------------------------------------------------------------------
 # Default-scale runs shared by the acceptance criteria
 
@@ -82,7 +79,7 @@ def default_config():
 
 @pytest.fixture(scope="session")
 def default_setup(default_config):
-    return Setup(default_config)
+    return Problem.build(default_config)
 
 
 @pytest.fixture(scope="session")

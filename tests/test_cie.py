@@ -74,8 +74,7 @@ def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):
     rec = pixel_least_squares(j, e)
     r_hat = chi_to_r(rec.chi, 6.0)
     ctx = LossContext(data=ScatteredData(matrix=tiny_sim.data.matrix[:1]), e_inc=e_inc,
-                      ops=setup.ops, basis=setup.basis, beta=6.0,
-                      lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
+                      maps=setup.maps, beta=6.0, lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
     res = ctx.residuals(alpha, r_hat).state
     assert np.linalg.norm(res) / np.linalg.norm(j) < 1e-6
 

@@ -7,7 +7,7 @@ import oracles
 from pdfisp import forward
 from pdfisp.config import ImagingConfig
 from pdfisp.forward import (GeometryError, NoConvergenceError, ScatteredData, add_awgn,
-                            apply_gd, apply_gd_adjoint, apply_gs_adjoint, build_greens,
+                            apply_gd, apply_gs_adjoint, build_greens,
                             dense_gd_matrix, incident_fields, simulate,
                             solve_total_field, synthesize_scattered)
 from pdfisp.geometry import ComplexGrid, build_array, build_grid
@@ -53,12 +53,6 @@ def test_fft_application_equals_dense_matvec():
 def test_adjoint_inner_product_identities():
     cfg, grid, arr, ops = _setup()
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    y = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    lhs = np.vdot(y, apply_gd(ops, x))
-    rhs = np.vdot(apply_gd_adjoint(ops, y), x)
-    assert abs(lhs - rhs) / abs(lhs) < 1e-12
-
     rows = rng.standard_normal(arr.n_rx) + 1j * rng.standard_normal(arr.n_rx)
     j = rng.standard_normal(144) + 1j * rng.standard_normal(144)
     lhs = np.vdot(rows, ops.gs_matrix @ j)
@@ -232,7 +226,7 @@ def test_scattered_disk_matches_series_solution_small():
     sim = simulate(cfg, scene)
     arr = build_array(cfg)
     n_in = int(np.count_nonzero(sim.chi_true.values.real > 0.5))
-    a_eq = cfg.cell_size * np.sqrt(n_in / np.pi)
+    a_eq = build_grid(cfg).cell_size * np.sqrt(n_in / np.pi)
     want = oracles.cylinder_scattered(cfg.wavenumber, 2.0, a_eq,
                                       arr.tx_positions, arr.rx_positions)
     rel = np.linalg.norm(sim.data.matrix - want) / np.linalg.norm(want)

@@ -17,10 +17,6 @@ def test_grid_centers_row_major():
     x = -0.75 + cs * (j + 0.5)
     y = -0.75 + cs * (i + 0.5)
     assert grid.centers[i * 6 + j] == pytest.approx([x, y])
-    assert grid.xs.shape == (6,)
-    assert grid.ys.shape == (4,)
-    assert grid.xs[j] == pytest.approx(x)
-    assert grid.ys[i] == pytest.approx(y)
 
 
 def test_grid_symmetric_about_origin():

@@ -181,7 +181,7 @@ def _check_alpha_gradient(ctx, alpha, rng, n_idx):
 
 def test_pipeline_gradient_matches_finite_differences(tiny_ctx):
     rng = np.random.default_rng(7)
-    n = tiny_ctx.n_views
+    n = tiny_ctx.e_inc.shape[0]
     m0 = tiny_ctx.basis.m0
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
     _check_alpha_gradient(tiny_ctx, alpha, rng, 24)
@@ -204,7 +204,7 @@ def test_frozen_contrast_gradient_matches_finite_differences(tiny_setup, tiny_si
     _, r0 = bp_initialize(tiny_sim.data, tiny_setup.e_inc, tiny_setup.ops, 6.0)
     ctx = tiny_setup.loss_context(tiny_sim.data, r_fixed=r0)
     rng = np.random.default_rng(8)
-    n, m0 = ctx.n_views, ctx.basis.m0
+    n, m0 = ctx.e_inc.shape[0], ctx.basis.m0
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
     _check_alpha_gradient(ctx, alpha, rng, 16)
 

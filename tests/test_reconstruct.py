@@ -1,12 +1,12 @@
 """Initialization, the reference descent baseline, metrics, and the main loop."""
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from pdfisp.config import ImagingConfig
 from pdfisp.forward import simulate
-from pdfisp.reconstruct import (CsiObjective, bp_initialize, count_components,
+from pdfisp.reconstruct import (CsiObjective, Problem, bp_initialize, count_components,
                                 csi_descent, init_alpha, reconstruct, relative_error)
 from pdfisp.scenes import builtin_scene
 
@@ -198,3 +198,57 @@ def test_reconstruct_with_custom_array(quick_cfg):
     sim = simulate(quick_cfg, scene, array=true_arr)
     result = reconstruct(quick_cfg, sim.data, array=nominal, chi_true=sim.chi_true)
     assert np.isfinite(result.final_loss.total)
+
+
+# ----------------------------------------------------------------------
+# One Problem per geometry
+
+
+@pytest.mark.parametrize("change", [{"lambda3": 0.0}, {"beta": 4.0}, {"use_cco": False}])
+def test_warm_cache_run_equals_cold_run(quick_cfg, tiny_sim, operator_builds, change):
+    """A cached geometry carries the caller's config, not the first caller's."""
+    cfg = replace(quick_cfg, **change)
+    cold = reconstruct(cfg, tiny_sim.data, chi_true=tiny_sim.chi_true)
+    Problem._cache.clear()
+    reconstruct(quick_cfg, tiny_sim.data)
+    warm = reconstruct(cfg, tiny_sim.data, chi_true=tiny_sim.chi_true)
+    assert len(operator_builds) == 2        # the cold run and the warm-up only
+    assert np.array_equal(warm.chi_cco.values, cold.chi_cco.values)
+    assert np.array_equal(warm.chi_hat.values, cold.chi_hat.values)
+    assert warm.final_loss == cold.final_loss
+    assert warm.rel_error == cold.rel_error
+
+
+@pytest.mark.parametrize("change", ["m_f", "frequency", "antenna"])
+def test_geometry_change_rebuilds(quick_cfg, operator_builds, change):
+    from pdfisp.geometry import AntennaArray, build_array
+
+    array = build_array(quick_cfg)
+    first = Problem.build(quick_cfg)
+    same = AntennaArray(array.tx_positions.copy(), array.rx_positions.copy())
+    assert Problem.build(replace(quick_cfg, k_iters=7), same).maps is first.maps
+    assert len(operator_builds) == 1
+
+    cfg = quick_cfg
+    if change == "m_f":
+        cfg = replace(cfg, m_f=2)
+    elif change == "frequency":
+        cfg = replace(cfg, frequency=2 * cfg.frequency)
+    else:
+        rx = array.rx_positions.copy()
+        rx[3, 0] += 1e-4
+        array = AntennaArray(array.tx_positions, rx)
+    rebuilt = Problem.build(cfg, array)
+    assert len(operator_builds) == 2 and rebuilt.maps is not first.maps
+    assert len(Problem._cache) == 1         # only the last geometry is kept
+
+
+def test_cached_arrays_are_read_only(tiny_setup):
+    p = tiny_setup
+    for arr in (p.array.tx_positions, p.array.rx_positions, p.grid.centers,
+                p.ops.gd_kernel, p.ops.gd_kernel_hat, p.ops.gs_matrix, p.e_inc.views,
+                p.basis.row_factor, p.basis.col_factor, p.maps.fields, p.maps.receivers):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        p.e_inc.views = np.zeros_like(p.e_inc.views)

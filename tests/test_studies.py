@@ -188,6 +188,16 @@ def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
         assert row["rel_error"] == want.rel_error
 
 
+def test_noise_study_builds_the_operators_once(small_spec, operator_builds):
+    import dataclasses
+
+    spec = dataclasses.replace(small_spec, kind="noise",
+                               snr_grid=(float("inf"), 10.0, 5.0, 1.0), eps_grid=(2.0,))
+    rows = run_noise_study(spec)
+    assert len(rows) == 4 and not any("error" in r for r in rows)
+    assert len(operator_builds) == 1
+
+
 def test_ablation_variants(small_spec):
     import dataclasses
 
@@ -219,6 +229,23 @@ def test_ablation_simulates_once_and_not_on_resume(tmp_path, small_spec, monkeyp
     calls = _count_reconstructs(monkeypatch)
     assert run_ablation(spec, out_dir=tmp_path) == first
     assert len(sims) == 1 and calls == []
+
+
+def test_failed_cell_is_an_error_row_with_and_without_out_dir(tmp_path, small_spec,
+                                                             monkeypatch):
+    import dataclasses
+
+    from pdfisp import studies
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("diverged")
+
+    monkeypatch.setattr(studies, "reconstruct", fails)
+    spec = dataclasses.replace(small_spec, kind="ablation", ablations=("no_tv", "no_cco"))
+    rows = run_ablation(spec)
+    assert set(rows) == {"full", "no_tv", "no_cco"}
+    assert all(row["error"] == "RuntimeError: diverged" for row in rows.values())
+    assert run_ablation(spec, out_dir=tmp_path) == rows
 
 
 def test_monte_carlo_deterministic(tmp_path, small_spec, monkeypatch):
