@@ -73,15 +73,14 @@ class ContrastRecovery:
     degenerate: np.ndarray    # (m1, m2) bool, denominator <= 10*eps_reg
 
 
-def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray,
-                        eps_reg: float | None = None) -> ContrastRecovery:
+def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray) -> ContrastRecovery:
     """Per-pixel LS contrast from paired current/field views.
 
     chi[m] = sum_i J_i[m] conj(E_i[m]) / (sum_i |E_i[m]|^2 + eps_reg), the
-    least-squares solution of J_i = chi * E_i across views at each pixel.
+    least-squares solution of J_i = chi * E_i across views at each pixel,
+    with eps_reg from `default_eps_reg`.
     """
-    if eps_reg is None:
-        eps_reg = default_eps_reg(e_views)
+    eps_reg = default_eps_reg(e_views)
     num = np.einsum("nij,nij->ij", j_views, np.conj(e_views))
     den = np.einsum("nij,nij->ij", e_views, np.conj(e_views)).real + eps_reg
     chi = num / den

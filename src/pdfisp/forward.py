@@ -98,6 +98,11 @@ def hankel1_0(x: np.ndarray) -> np.ndarray:
     return j0(x) + 1j * y0(x)
 
 
+def line_source(k0: float, d: np.ndarray) -> np.ndarray:
+    """Field (i/4) * H0(k0 d) of a unit line source at distances d > 0."""
+    return 0.25j * hankel1_0(k0 * d)
+
+
 def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry) -> GreensOperators:
     """Assemble the domain kernel and the receiver matrix.
 
@@ -164,11 +169,10 @@ def dense_gd_matrix(ops: GreensOperators) -> np.ndarray:
 
 def incident_fields(config: ImagingConfig, array: AntennaArray, grid: GridGeometry) -> FieldSet:
     """Unit line-source illumination: E(r) = (i/4) * H0(k0 |r - r_tx|)."""
-    k0 = config.wavenumber
     d = np.linalg.norm(array.tx_positions[:, None, :] - grid.centers[None, :, :], axis=2)
     if (d <= 0).any():
         raise GeometryError("a transmitter coincides with a cell center")
-    views = 0.25j * hankel1_0(k0 * d)
+    views = line_source(config.wavenumber, d)
     return FieldSet(views=views.reshape(array.n_tx, grid.m1, grid.m2))
 
 

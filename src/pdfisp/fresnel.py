@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ImagingConfig
-from .forward import ScatteredData, hankel1_0, simulate
-from .geometry import AntennaArray
+from .config import C0, ImagingConfig
+from .forward import ScatteredData, line_source, simulate
+from .geometry import AntennaArray, ring_points
 from .scenes import Scene, Shape
 
 RING_RADIUS = 1.67          # meters, transmitter and receiver circles
@@ -71,8 +71,8 @@ class FresnelDataset:
         return len(self.rx_angles_deg)
 
     def array(self) -> AntennaArray:
-        tx = _ring_points(self.tx_angles_deg, self.ring_radius)
-        rx = _ring_points(self.rx_angles_deg, self.ring_radius)
+        tx = ring_points(np.deg2rad(self.tx_angles_deg), self.ring_radius)
+        rx = ring_points(np.deg2rad(self.rx_angles_deg), self.ring_radius)
         return AntennaArray(tx_positions=tx, rx_positions=rx)
 
     def scattered(self) -> ScatteredData:
@@ -80,11 +80,6 @@ class FresnelDataset:
         sca = (self.total - self.incident) * self.calibration[:, None]
         sca = np.where(self.mask, sca, 0.0)
         return ScatteredData(matrix=sca, snr_db=None, mask=self.mask.copy())
-
-
-def _ring_points(angles_deg: np.ndarray, radius: float) -> np.ndarray:
-    th = np.deg2rad(np.asarray(angles_deg, dtype=float))
-    return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
 
 
 def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
@@ -164,9 +159,9 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
             "the file does not look like a scattering measurement")
 
     # Per-transmitter calibration at the diametrically opposite receiver.
-    k0 = 2.0 * np.pi * f_hz / 299792458.0
-    tx_pos = _ring_points(tx_angles, ring_radius)
-    rx_pos = _ring_points(rx_angles, ring_radius)
+    k0 = 2.0 * np.pi * f_hz / C0
+    tx_pos = ring_points(np.deg2rad(tx_angles), ring_radius)
+    rx_pos = ring_points(np.deg2rad(rx_angles), ring_radius)
     calibration = np.zeros(n_tx, dtype=np.complex128)
     for t in range(n_tx):
         want = (tx_angles[t] + 180.0) % 360.0
@@ -178,8 +173,7 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
             raise FresnelError(f"transmitter {t + 1}: zero incident field at the "
                                "calibration receiver")
         d = np.hypot(*(rx_pos[j] - tx_pos[t]))
-        model = 0.25j * hankel1_0(k0 * d)
-        calibration[t] = model / meas
+        calibration[t] = line_source(k0, d) / meas
 
     return FresnelDataset(frequency=f_hz, ring_radius=ring_radius,
                           tx_angles_deg=tx_angles, rx_angles_deg=rx_angles,
@@ -240,17 +234,16 @@ def write_synthetic_foamdiel(path, frequency: float = 2e9, n_tx: int = 8,
                         ring_radius=ring_radius).validate()
     tx_angles = 360.0 * np.arange(n_tx) / n_tx
     rx_angles = np.arange(360.0)
-    array = AntennaArray(tx_positions=_ring_points(tx_angles, ring_radius),
-                         rx_positions=_ring_points(rx_angles, ring_radius))
+    array = AntennaArray(tx_positions=ring_points(np.deg2rad(tx_angles), ring_radius),
+                         rx_positions=ring_points(np.deg2rad(rx_angles), ring_radius))
     sim = simulate(cfg, foamdiel_scene(), snr_db=snr_db, rng=rng, array=array)
     sca = sim.data.matrix                       # (n_tx, 360)
 
-    k0 = cfg.wavenumber
     d = np.linalg.norm(array.rx_positions[None, :, :] - array.tx_positions[:, None, :],
                        axis=-1)
     # a receiver can share an angle with the transmitter; those columns are
     # outside the written arc, so give them a dummy distance
-    inc = 0.25j * hankel1_0(k0 * np.where(d > 0, d, 1.0))
+    inc = line_source(cfg.wavenumber, np.where(d > 0, d, 1.0))
 
     mag = rng.uniform(0.5, 2.0, size=n_tx)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n_tx)

@@ -74,6 +74,11 @@ def build_grid(config: ImagingConfig) -> GridGeometry:
     return GridGeometry(centers=centers, cell_size=cs, m1=config.m1, m2=config.m2)
 
 
+def ring_points(theta: np.ndarray, radius: float) -> np.ndarray:
+    """(x, y) points at angles theta (radians) on a circle about the origin, shape (n, 2)."""
+    return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 def build_array(config: ImagingConfig) -> AntennaArray:
     """Place antennas equally spaced on the measurement circle.
 
@@ -81,11 +86,9 @@ def build_array(config: ImagingConfig) -> AntennaArray:
     wavelengths (see ImagingConfig.radius).
     """
     config.validate()
-    radius = config.radius
 
     def ring(n: int) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return ring_points(2.0 * np.pi * np.arange(n) / n, config.radius)
 
     return AntennaArray(tx_positions=ring(config.n_tx), rx_positions=ring(config.n_rx))
 

@@ -15,14 +15,17 @@ The state term takes the modified contrast R of the least-squares contrast
 on its physical branch (Re{chi} clamped at zero, cie.physical_branch):
 intermediate iterates recover negative contrast, and the unclamped map has
 a pole at chi = -1/beta. The bridge term judges flatness against the
-resolution of the spectral basis, see `loss_bridge`.
+resolution of the spectral basis, see `bridge_term`.
 
 The state and data residuals are computed only in `LossContext.residuals`,
 and their coefficient gradient at fixed R only in `LossContext.residual_grad`.
+Each penalty is one function returning its value and its contrast
+gradient together (`bound_term`, `tv_term`, `bridge_term`).
 `pipeline_forward` adds the least-squares contrast, the physical-branch map
-and the regularizers, keeping the intermediates the hand-derived reverse
-pass `pipeline_backward` needs; the frozen-contrast objective
-(`reconstruct.CsiObjective`) uses the residual functions alone.
+and the penalties, keeping the intermediates the hand-derived reverse pass
+`pipeline_backward` needs, the weighted penalty gradient among them; the
+frozen-contrast objective (`reconstruct.CsiObjective`) uses the residual
+functions alone.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ class LossBreakdown:
     bound: float
     tv: float
     bridge: float
-    weights: tuple[float, float, float]
 
     def as_row(self) -> tuple[float, ...]:
         return (self.state, self.data, self.bound, self.tv, self.bridge, self.total)
@@ -163,16 +165,17 @@ def _power(x: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
-# Regularizer terms
+# Regularizer terms: each returns its value and its gradient with respect
+# to the contrast image (convention: g = dL/dRe + i*dL/dIm, unweighted)
 
 
-def loss_bound(chi: np.ndarray) -> float:
+def bound_term(chi: np.ndarray) -> tuple[float, np.ndarray]:
     """Squared hinge on negative real contrast."""
     neg = np.minimum(chi.real, 0.0)
-    return float(np.sum(neg * neg))
+    return float(np.sum(neg * neg)), (2.0 * neg).astype(np.complex128)
 
 
-def loss_tv(chi: np.ndarray, eps_tv: float = EPS_TV) -> float:
+def tv_term(chi: np.ndarray, eps_tv: float = EPS_TV) -> tuple[float, np.ndarray]:
     """Smoothed isotropic total variation, forward differences.
 
     The last row/column differences are zero (replicate boundary); complex
@@ -180,10 +183,12 @@ def loss_tv(chi: np.ndarray, eps_tv: float = EPS_TV) -> float:
     """
     dx, dy = _forward_diffs(chi)
     s = np.sqrt(np.abs(dx) ** 2 + np.abs(dy) ** 2 + eps_tv)
-    return float(s.sum())
+    g = np.zeros_like(chi)
+    _add_diffs_adjoint(g, dx / s, dy / s)
+    return float(s.sum()), g
 
 
-def loss_bridge(chi: np.ndarray, tau_b: float, m_f: int) -> float:
+def bridge_term(chi: np.ndarray, tau_b: float, m_f: int) -> tuple[float, np.ndarray]:
     """Penalty on bright flat regions.
 
     sum sigmoid((|chi| - tau_b)/tau_b) * exp(-(lx*gx)^2/tau_b^2 - (ly*gy)^2/tau_b^2)
@@ -196,18 +201,18 @@ def loss_bridge(chi: np.ndarray, tau_b: float, m_f: int) -> float:
     one. Per-cell differences alone cannot tell the two apart, because a
     band-limited map changes little from one cell to the next.
     """
-    sig, damp, _ = _bridge_parts(chi, tau_b, m_f)
-    return float(np.sum(sig * damp))
-
-
-def _bridge_parts(chi: np.ndarray, tau_b: float, m_f: int):
     a = np.abs(chi)
     gx, gy = _forward_diffs(a)
     kx = (a.shape[1] / (2.0 * m_f * tau_b)) ** 2
     ky = (a.shape[0] / (2.0 * m_f * tau_b)) ** 2
     sig = _sigmoid((a - tau_b) / tau_b)
     damp = np.exp(-(kx * gx * gx + ky * gy * gy))
-    return sig, damp, (a, gx, gy, kx, ky)
+    terms = sig * damp
+    g_a = sig * (1.0 - sig) / tau_b * damp
+    _add_diffs_adjoint(g_a, terms * (-2.0 * kx * gx), terms * (-2.0 * ky * gy))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phase = np.where(a > 0, chi / np.where(a > 0, a, 1.0), 0.0)
+    return float(np.sum(terms)), g_a * phase
 
 
 def _forward_diffs(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,52 +223,12 @@ def _forward_diffs(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-# ----------------------------------------------------------------------
-# Regularizer gradients with respect to the contrast image
-# (convention: g = dL/dRe + i*dL/dIm, unweighted)
-
-
-def bound_chi_grad(chi: np.ndarray) -> np.ndarray:
-    return (2.0 * np.minimum(chi.real, 0.0)).astype(np.complex128)
-
-
-def tv_chi_grad(chi: np.ndarray, eps_tv: float = EPS_TV) -> np.ndarray:
-    dx, dy = _forward_diffs(chi)
-    s = np.sqrt(np.abs(dx) ** 2 + np.abs(dy) ** 2 + eps_tv)
-    wx, wy = dx / s, dy / s
-    g = np.zeros_like(chi)
+def _add_diffs_adjoint(g: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> None:
+    """g += the adjoint of `_forward_diffs` applied to (wx, wy), in place."""
     g[:, 1:] += wx[:, :-1]
     g[:, :-1] -= wx[:, :-1]
     g[1:, :] += wy[:-1, :]
     g[:-1, :] -= wy[:-1, :]
-    return g
-
-
-def bridge_chi_grad(chi: np.ndarray, tau_b: float, m_f: int) -> np.ndarray:
-    sig, damp, (a, gx, gy, kx, ky) = _bridge_parts(chi, tau_b, m_f)
-    ga = sig * (1.0 - sig) / tau_b * damp
-    cx = sig * damp * (-2.0 * kx * gx)
-    cy = sig * damp * (-2.0 * ky * gy)
-    ga[:, 1:] += cx[:, :-1]
-    ga[:, :-1] -= cx[:, :-1]
-    ga[1:, :] += cy[:-1, :]
-    ga[:-1, :] -= cy[:-1, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(a > 0, chi / np.where(a > 0, a, 1.0), 0.0)
-    return ga * phase
-
-
-def regularizer_chi_grad(chi: np.ndarray, lambdas: tuple[float, float, float],
-                         tau_b: float, m_f: int) -> np.ndarray:
-    l1, l2, l3 = lambdas
-    g = np.zeros_like(chi)
-    if l1:
-        g += l1 * bound_chi_grad(chi)
-    if l2:
-        g += l2 * tv_chi_grad(chi)
-    if l3:
-        g += l3 * bridge_chi_grad(chi, tau_b, m_f)
-    return g
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +243,7 @@ class PipelineState:
     r_hat: np.ndarray          # (m1, m2)
     res: Residuals
     breakdown: LossBreakdown
+    penalty_grad: np.ndarray   # (m1, m2) weighted penalty gradient w.r.t. chi
 
 
 def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
@@ -293,19 +259,24 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
     res = ctx.residuals(alpha_hat, r_hat, fields=(j, e))
     l_state, l_data = ctx.term_values(res)
 
-    l_bound = loss_bound(chi)
-    l_tv = loss_tv(chi)
-    l_bridge = loss_bridge(chi, ctx.tau_b, ctx.basis.m_f)
+    l_bound, g_bound = bound_term(chi)
+    l_tv, g_tv = tv_term(chi)
+    l_bridge, g_bridge = bridge_term(chi, ctx.tau_b, ctx.basis.m_f)
     l1, l2, l3 = ctx.lambdas
     total = l_state + l_data + l1 * l_bound + l2 * l_tv + l3 * l_bridge
+    penalty_grad = np.zeros_like(chi)
+    for weight, g in ((l1, g_bound), (l2, g_tv), (l3, g_bridge)):
+        if weight:
+            penalty_grad += weight * g
     if not np.isfinite(total):
         parts = {"state": l_state, "data": l_data, "bound": l_bound, "tv": l_tv,
                  "bridge": l_bridge}
         bad = [k for k, v in parts.items() if not np.isfinite(v)]
         raise FloatingPointError(f"nonfinite loss term(s): {bad}")
     bd = LossBreakdown(total=total, state=l_state, data=l_data, bound=l_bound,
-                       tv=l_tv, bridge=l_bridge, weights=ctx.lambdas)
-    return PipelineState(rec=rec, r_hat=r_hat, res=res, breakdown=bd)
+                       tv=l_tv, bridge=l_bridge)
+    return PipelineState(rec=rec, r_hat=r_hat, res=res, breakdown=bd,
+                         penalty_grad=penalty_grad)
 
 
 def loss_total(alpha: np.ndarray, ctx: LossContext) -> LossBreakdown:
@@ -332,11 +303,11 @@ def pipeline_backward(state: PipelineState, ctx: LossContext) -> np.ndarray:
     chi = state.rec.chi
     den = state.rec.denominator
 
-    # contrast chain: regularizers plus (unless frozen) the modified-contrast
-    # map on the physical branch, whose clamp passes no real-part gradient;
-    # the state residual R*(E + beta*J) - beta*J gives
-    # dL/dR = sum_views conj(E + beta*J) * 2 res / c_inc
-    g_chi = regularizer_chi_grad(chi, ctx.lambdas, ctx.tau_b, ctx.basis.m_f)
+    # contrast chain: the weighted penalty gradient kept by the forward pass
+    # plus (unless frozen) the modified-contrast map on the physical branch,
+    # whose clamp passes no real-part gradient; the state residual
+    # R*(E + beta*J) - beta*J gives dL/dR = sum_views conj(E + beta*J) * 2 res / c_inc
+    g_chi = state.penalty_grad
     if ctx.r_fixed is None:
         res = state.res.state
         g_r = (2.0 / ctx.c_inc) * (np.einsum("nij,nij->ij", np.conj(e), res)

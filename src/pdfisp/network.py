@@ -239,6 +239,10 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
 # ----------------------------------------------------------------------
 # Adam
 
+ADAM_B1 = 0.9     # first-moment decay
+ADAM_B2 = 0.999   # second-moment decay
+ADAM_EPS = 1e-8   # added to the root of the second moment
+
 
 @dataclass
 class AdamState:
@@ -251,9 +255,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-2
-    b1: float = 0.9
-    b2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 1e-2) -> "AdamState":
@@ -272,14 +273,14 @@ def adam_step(state: AdamState, params: NetworkParams,
         raise ValueError("gradient length does not match parameter count")
     t = state.step + 1
     m, v = state.m, state.v
-    m *= state.b1
-    m += (1.0 - state.b1) * grad
-    v *= state.b2
-    v += (1.0 - state.b2) * (grad * grad)
-    den = v / (1.0 - state.b2 ** t)
+    m *= ADAM_B1
+    m += (1.0 - ADAM_B1) * grad
+    v *= ADAM_B2
+    v += (1.0 - ADAM_B2) * (grad * grad)
+    den = v / (1.0 - ADAM_B2 ** t)
     np.sqrt(den, out=den)
-    den += state.eps
-    upd = m / (1.0 - state.b1 ** t)
+    den += ADAM_EPS
+    upd = m / (1.0 - ADAM_B1 ** t)
     upd /= den
     upd *= state.lr
     if not np.isfinite(upd).all():

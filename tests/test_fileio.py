@@ -138,7 +138,7 @@ def test_pgm_rejects_bad_range(tmp_path):
 
 def test_trace_csv_format(tmp_path):
     trace = [LossBreakdown(state=1.0, data=2.0, bound=0.5, tv=0.25,
-                           bridge=0.125, total=3.875, weights=(1.0, 1.0, 1.0))]
+                           bridge=0.125, total=3.875)]
     path = tmp_path / "t.csv"
     write_trace(path, trace)
     lines = path.read_text().splitlines()

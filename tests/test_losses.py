@@ -1,12 +1,13 @@
 """Loss terms, their contrast-space gradients, and the coefficient pipeline."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from pdfisp.forward import ScatteredData
-from pdfisp.losses import (ZeroDataError, bound_chi_grad, bridge_chi_grad, loss_bound,
-                           loss_bridge, loss_total, loss_tv, pipeline_backward,
-                           pipeline_forward, tv_chi_grad)
+from pdfisp.losses import (ZeroDataError, bound_term, bridge_term, loss_total,
+                           pipeline_backward, pipeline_forward, tv_term)
 
 
 def _rand_chi(rng, m=8):
@@ -21,7 +22,7 @@ def test_bound_term_value():
     rng = np.random.default_rng(0)
     chi = _rand_chi(rng)
     want = sum(min(v, 0.0) ** 2 for v in chi.real.ravel())
-    assert loss_bound(chi) == pytest.approx(want, rel=1e-12)
+    assert bound_term(chi)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_tv_term_value():
@@ -35,7 +36,7 @@ def test_tv_term_value():
             dx = chi[i, j + 1] - chi[i, j] if j + 1 < n else 0.0
             dy = chi[i + 1, j] - chi[i, j] if i + 1 < m else 0.0
             total += np.sqrt(abs(dx) ** 2 + abs(dy) ** 2 + eps_tv)
-    assert loss_tv(chi, eps_tv) == pytest.approx(total, rel=1e-12)
+    assert tv_term(chi, eps_tv)[0] == pytest.approx(total, rel=1e-12)
 
 
 def test_bridge_term_value():
@@ -55,7 +56,7 @@ def test_bridge_term_value():
             gy = a[i + 1, j] - a[i, j] if i + 1 < m else 0.0
             sig = 1.0 / (1.0 + np.exp(-(a[i, j] - tau) / tau))
             total += sig * np.exp(-((lx * gx) ** 2 + (ly * gy) ** 2) / tau ** 2)
-    assert loss_bridge(chi, tau, m_f) == pytest.approx(total, rel=1e-12)
+    assert bridge_term(chi, tau, m_f)[0] == pytest.approx(total, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +64,8 @@ def test_bridge_term_value():
 # (convention g = dL/dRe + i*dL/dIm per pixel)
 
 
-def _fd_chi_grad(fn, chi, h=1e-6):
+def _fd_chi_grad(term, chi, h=1e-6):
+    """Central differences of the value `term(chi)[0]`."""
     g = np.zeros_like(chi)
     it = np.nditer(np.zeros(chi.shape), flags=["multi_index"])
     for _ in it:
@@ -73,7 +75,7 @@ def _fd_chi_grad(fn, chi, h=1e-6):
             cm = chi.copy()
             cp[idx] += h * unit
             cm[idx] -= h * unit
-            d = (fn(cp) - fn(cm)) / (2.0 * h)
+            d = (term(cp)[0] - term(cm)[0]) / (2.0 * h)
             g[idx] += d if part == 0 else 1j * d
     return g
 
@@ -81,24 +83,24 @@ def _fd_chi_grad(fn, chi, h=1e-6):
 def test_bound_gradient():
     rng = np.random.default_rng(3)
     chi = _rand_chi(rng, 5)
-    got = bound_chi_grad(chi)
-    want = _fd_chi_grad(loss_bound, chi)
+    got = bound_term(chi)[1]
+    want = _fd_chi_grad(bound_term, chi)
     assert np.abs(got - want).max() < 1e-6
 
 
 def test_tv_gradient():
     rng = np.random.default_rng(4)
     chi = _rand_chi(rng, 5)
-    got = tv_chi_grad(chi, 1e-6)
-    want = _fd_chi_grad(lambda c: loss_tv(c, 1e-6), chi, h=1e-7)
+    got = tv_term(chi, 1e-6)[1]
+    want = _fd_chi_grad(lambda c: tv_term(c, 1e-6), chi, h=1e-7)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
 
 
 def test_bridge_gradient():
     rng = np.random.default_rng(5)
     chi = _rand_chi(rng, 5)[:, :4] + 0.3    # keep |chi| away from the modulus kink at 0
-    got = bridge_chi_grad(chi, 2.0, 1)
-    want = _fd_chi_grad(lambda c: loss_bridge(c, 2.0, 1), chi)
+    got = bridge_term(chi, 2.0, 1)[1]
+    want = _fd_chi_grad(lambda c: bridge_term(c, 2.0, 1), chi)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
 
 
@@ -185,6 +187,20 @@ def test_pipeline_gradient_matches_finite_differences(tiny_ctx):
     m0 = tiny_ctx.basis.m0
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
     _check_alpha_gradient(tiny_ctx, alpha, rng, 24)
+
+
+def test_pipeline_gradient_with_weighty_penalties(tiny_ctx):
+    """At the default weights the penalties make under 0.05% of the loss
+    here, so the check above hardly sees their gradients; at these weights
+    bound, TV and bridge each make at least a tenth of state + data."""
+    ctx = dataclasses.replace(tiny_ctx, lambdas=(1.0, 0.02, 0.005))
+    rng = np.random.default_rng(7)
+    n, m0 = ctx.e_inc.shape[0], ctx.basis.m0
+    alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
+    bd = loss_total(alpha, ctx)
+    shares = np.multiply(ctx.lambdas, (bd.bound, bd.tv, bd.bridge)) / (bd.state + bd.data)
+    assert shares.min() >= 0.1, shares
+    _check_alpha_gradient(ctx, alpha, rng, 24)
 
 
 def test_pipeline_past_the_pole_stays_on_physical_branch(tiny_ctx, pole_alpha):
