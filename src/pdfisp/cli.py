@@ -10,19 +10,19 @@ is a pure single-file transform and writes no manifest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .config import ImagingConfig, load_config
+from .config import (SCALAR_FIELDS, ImagingConfig, config_from_dict, config_hash, config_to_dict,
+                     load_config, save_config, write_json)
 from .forward import simulate
-from .fresnel import FresnelError, fresnel_reconstruct, load_fresnel, write_synthetic_foamdiel
+from .fresnel import (FresnelError, fresnel_config, load_fresnel, to_hz,
+                      write_synthetic_foamdiel)
 from .reconstruct import ReconstructionResult, count_components, reconstruct
 from .scenes import resolve_scene
 from .studies import load_study_spec, run_study
@@ -50,35 +50,27 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override one config field (repeatable)")
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ImagingConfig)}
-
-
-def _parse_overrides(entries: list[str]) -> dict:
+def _overrides(args) -> dict:
+    """The --set and --seed values, parsed as JSON where they parse (else strings)."""
     out = {}
-    for entry in entries:
+    for entry in args.set:
         key, sep, raw = entry.partition("=")
         if not sep:
             raise UsageError(f"--set expects KEY=VALUE, got {entry!r}")
-        if key not in _FIELDS or key == "cco":
+        if key not in SCALAR_FIELDS:
             raise UsageError(f"--set: unknown config field {key!r}")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
+    if args.seed is not None:
+        out["rng_seed"] = args.seed
     return out
 
 
 def _build_config(args) -> ImagingConfig:
     cfg = load_config(args.config) if args.config else ImagingConfig()
-    over = _parse_overrides(args.set)
-    if args.seed is not None:
-        over["rng_seed"] = args.seed
-    if over:
-        try:
-            cfg = dc_replace(cfg, **over)
-        except TypeError as exc:
-            raise UsageError(str(exc)) from exc
-    return cfg.validate()
+    return config_from_dict({**config_to_dict(cfg), **_overrides(args)})
 
 
 def _finish(out_dir: Path, command: str, argv, seed, inputs, outputs, t0) -> None:
@@ -89,8 +81,6 @@ def _finish(out_dir: Path, command: str, argv, seed, inputs, outputs, t0) -> Non
 def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult,
                   vmin: float, vmax: float | None) -> list[Path]:
     """Write the standard reconstruction artifacts; return their paths."""
-    from .config import config_hash, save_config
-
     paths = fileio.workspace_paths(out)
     save_config(out / "config.json", config)
     fileio.save_grid(paths["chi"], result.chi_cco, config_hash=config_hash(config))
@@ -108,7 +98,7 @@ def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult
         "min_eps": float(eps.min()),
         "components_above_1p5": count_components(eps, 1.5),
     }
-    fileio.write_json(paths["metrics"], metrics)
+    write_json(paths["metrics"], metrics)
     return [out / "config.json", paths["chi"], paths["eps_pgm"], paths["trace"],
             paths["metrics"]]
 
@@ -125,9 +115,6 @@ def _cmd_simulate(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.rng_seed)
     sim = simulate(cfg, scene, snr_db=args.snr, rng=rng)
-
-    from .config import config_hash, save_config
-
     save_config(out / "config.json", cfg)
     fileio.save_dataset(out / "data.emsca", sim.data, meta={"scene": args.scene})
     fileio.save_grid(out / "chi_true.grid", sim.chi_true, config_hash=config_hash(cfg))
@@ -167,25 +154,20 @@ def _cmd_study(args, argv) -> int:
 def _cmd_fresnel(args, argv) -> int:
     t0 = time.perf_counter()
     if args.write_synthetic:
-        write_synthetic_foamdiel(args.write_synthetic, frequency=args.freq * 1e9
-                                 if args.freq < 1e3 else args.freq,
+        write_synthetic_foamdiel(args.write_synthetic, frequency=to_hz(args.freq),
                                  seed=args.seed if args.seed is not None else 7)
         if not args.file:
             return 0
     if not args.file:
         raise UsageError("fresnel: --file is required unless only --write-synthetic is used")
     dataset = load_fresnel(args.file, args.freq)
-    over = _parse_overrides(args.set)
-    if args.seed is not None:
-        over["rng_seed"] = args.seed
+    over = _overrides(args)
     if args.cells:
         over.update(m1=args.cells, m2=args.cells)
+    cfg = fresnel_config(dataset, **over)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = fresnel_reconstruct(dataset, **over)
-    from .fresnel import fresnel_config
-
-    cfg = fresnel_config(dataset, **over)
+    result = reconstruct(cfg, dataset.scattered(), array=dataset.array())
     outputs = _result_files(out, cfg, result, args.vmin, args.vmax)
     _finish(out, "fresnel", argv, cfg.rng_seed, [args.file], outputs, t0)
     return 0

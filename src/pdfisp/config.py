@@ -2,14 +2,18 @@
 
 One :class:`ImagingConfig` fully determines an experiment: the imaging
 domain, the antenna ring, the forward discretization, and every solver
-hyperparameter. Configs are immutable, validated on demand, and round-trip
-through JSON so runs can be reproduced from a config file alone.
+hyperparameter. Configs are immutable, checked when built, and round-trip
+through JSON so runs can be reproduced from a config file alone. `from_dict`
+is the one reader of parsed JSON for every dataclass the package loads.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -112,8 +116,6 @@ class ImagingConfig:
     @property
     def wavenumber(self) -> float:
         """Free-space wavenumber k0 = 2*pi*f/c0, rad/m."""
-        import math
-
         return 2.0 * math.pi * self.frequency / C0
 
     @property
@@ -122,6 +124,9 @@ class ImagingConfig:
         if self.ring_radius is not None:
             return self.ring_radius
         return 20.0 * self.wavelength
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "ImagingConfig":
         """Check invariants; return self on success, raise ConfigError otherwise."""
@@ -157,39 +162,95 @@ class ImagingConfig:
         return self
 
 
+# the fields a single value overrides: all but the nested `cco` block
+SCALAR_FIELDS = frozenset(f.name for f in dataclasses.fields(ImagingConfig)) - {"cco"}
+
+
 # ----------------------------------------------------------------------
 # JSON round trip
 
 
+def from_dict(cls, d: Any, error: type[Exception] = ConfigError):
+    """Build dataclass `cls` from parsed JSON, field by field along its annotations.
+
+    Unknown keys, missing required keys and values of the wrong type raise
+    `error` naming ``Class.field`` and the value. A float field takes an int
+    unchanged, no number takes a bool, a complex field takes a number or
+    [re, im], a tuple field an array and a nested dataclass an object.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{cls.__name__}: expected an object, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise error(f"unknown {cls.__name__} keys: {unknown}")
+    for name, f in fields.items():
+        if name not in d and f.default is f.default_factory is dataclasses.MISSING:
+            raise error(f"{cls.__name__}.{name} is missing")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _read(hints[k], v, f"{cls.__name__}.{k}", error) for k, v in d.items()})
+
+
+def _read(tp, v, where: str, error):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if v is None and type(None) in args:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _read(tp, v, where, error)
+    if dataclasses.is_dataclass(tp) and isinstance(v, dict):
+        return from_dict(tp, v, error)
+    if origin is tuple:
+        if isinstance(v, (list, tuple)):
+            items = args[:1] * len(v) if args[-1] is Ellipsis else args
+            if len(items) == len(v):
+                return tuple(_read(a, x, f"{where}[{i}]", error)
+                             for i, (a, x) in enumerate(zip(items, v)))
+    elif origin is dict:
+        if isinstance(v, dict):
+            return {k: _read(args[1], x, f"{where}[{k!r}]", error) for k, x in v.items()}
+    elif tp is complex and isinstance(v, list) and len(v) == 2:
+        return complex(*(_read(float, x, where, error) for x in v))
+    elif not isinstance(v, bool) or tp is bool:
+        kinds = {float: (int, float), complex: (int, float, complex)}.get(tp, tp)
+        if isinstance(v, kinds):
+            return complex(v) if tp is complex else v
+    raise error(f"{where}: expected {tp.__name__ if origin is None else tp}, got {v!r}")
+
+
 def config_to_dict(config: ImagingConfig) -> dict[str, Any]:
-    d = dataclasses.asdict(config)
-    return d
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(d: dict[str, Any]) -> ImagingConfig:
-    d = dict(d)
-    cco = d.pop("cco", None)
-    names = {f.name for f in dataclasses.fields(ImagingConfig)}
-    unknown = set(d) - names
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if cco is not None:
-        d["cco"] = CcoParams(**cco)
-    return ImagingConfig(**d).validate()
+    return from_dict(ImagingConfig, d)
 
 
-def save_config(path, config: ImagingConfig) -> None:
+def read_json(path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def save_config(path, config: ImagingConfig) -> None:
+    write_json(path, config_to_dict(config))
+
+
 def load_config(path) -> ImagingConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
+
+
+def json_digest(payload: Any) -> str:
+    """sha256 hex digest of a payload's sorted-key JSON (repr for what JSON lacks)."""
+    blob = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def config_hash(config: ImagingConfig) -> str:
     """Stable hex digest of a config, for file headers and study cell keys."""
-    blob = json.dumps(config_to_dict(config), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return json_digest(config_to_dict(config))[:16]

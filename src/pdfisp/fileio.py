@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json, write_json
 from .forward import ScatteredData
 from .geometry import ComplexGrid
 
@@ -75,20 +76,11 @@ def _read_header(fh, magic: str) -> dict:
         raise CorruptHeaderError("header is not valid JSON") from exc
 
 
-def _complex_to_bytes(arr: np.ndarray) -> bytes:
-    inter = np.empty(arr.shape + (2,), dtype="<f8")
-    inter[..., 0] = arr.real
-    inter[..., 1] = arr.imag
-    return inter.tobytes()
-
-
 def _complex_from_bytes(buf: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(shape)) * 2
-    if len(buf) < n * 8:
+    n = int(np.prod(shape))
+    if len(buf) < n * 16:
         raise FileFormatError("truncated payload")
-    flat = np.frombuffer(buf, dtype="<f8", count=n)
-    inter = flat.reshape(shape + (2,))
-    return (inter[..., 0] + 1j * inter[..., 1]).astype(np.complex128)
+    return np.frombuffer(buf, dtype="<c16", count=n).reshape(shape).astype(np.complex128)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +96,7 @@ def save_dataset(path, data: ScatteredData, meta: dict | None = None) -> None:
         header["meta"] = meta
     with open(path, "wb") as fh:
         _write_header(fh, "EMSCA", header)
-        fh.write(_complex_to_bytes(data.matrix))
+        fh.write(np.asarray(data.matrix, dtype="<c16").tobytes())
         if data.mask is not None:
             fh.write(np.ascontiguousarray(data.mask, dtype=np.uint8).tobytes())
 
@@ -134,7 +126,7 @@ def save_grid(path, grid: ComplexGrid, config_hash: str = "") -> None:
               "config_hash": config_hash, "byte_order": "little"}
     with open(path, "wb") as fh:
         _write_header(fh, "GRID", header)
-        fh.write(_complex_to_bytes(grid.values))
+        fh.write(np.asarray(grid.values, dtype="<c16").tobytes())
 
 
 def load_grid(path) -> ComplexGrid:
@@ -177,12 +169,6 @@ def write_trace(path, trace) -> None:
             fh.write(f"{k},{row}\n")
 
 
-def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -217,8 +203,7 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
 
 
 def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 def workspace_paths(out_dir) -> dict[str, Path]:

@@ -110,7 +110,6 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
     and the self integral is (i*pi*k0*a/2) * H1(k0*a) - 1, both exact for
     the equal-area disk of radius a = cell_size/sqrt(pi).
     """
-    config.validate()
     k0 = config.wavenumber
     cs = grid.cell_size
     a = cs / np.sqrt(np.pi)
@@ -264,15 +263,20 @@ def add_awgn(data: ScatteredData, snr_db: float, rng: np.random.Generator) -> Sc
     """Inject circular white Gaussian noise at the stated signal-to-noise ratio.
 
     The expected total noise power equals the total signal power divided by
-    10^(snr_db/10), measured over all matrix entries jointly. An infinite
-    snr_db returns the data unchanged.
+    10^(snr_db/10), both over the measured entries (all of them without a
+    mask); unmeasured entries stay zero. An infinite snr_db returns the data
+    unchanged.
     """
     if np.isinf(snr_db):
         return ScatteredData(matrix=data.matrix.copy(), snr_db=float("inf"), mask=data.mask)
+    shape = data.matrix.shape
+    n_meas = data.matrix.size if data.mask is None else np.count_nonzero(data.mask)
     p_sig = np.vdot(data.matrix, data.matrix).real
-    var = p_sig / (data.matrix.size * 10.0 ** (snr_db / 10.0))
+    var = p_sig / (n_meas * 10.0 ** (snr_db / 10.0))
     s = np.sqrt(var / 2.0)
-    noise = rng.normal(0.0, s, data.matrix.shape) + 1j * rng.normal(0.0, s, data.matrix.shape)
+    noise = rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
+    if data.mask is not None:
+        noise = np.where(data.mask, noise, 0.0)
     return ScatteredData(matrix=data.matrix + noise, snr_db=snr_db, mask=data.mask)
 
 
@@ -295,7 +299,6 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
     keep simulated data off the inversion grid; chi_true is always returned
     on the inversion grid.
     """
-    config.validate()
     # _solve_gmres's import, made before the operators are built: made
     # mid-solve, its long-lived objects pin about 20 MB of freed solver
     # scratch memory for the rest of the process

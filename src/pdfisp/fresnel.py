@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import C0, ImagingConfig
+from .config import C0, ImagingConfig, config_from_dict
 from .forward import ScatteredData, line_source, simulate
 from .geometry import AntennaArray, ring_points
 from .scenes import Scene, Shape
@@ -53,7 +53,6 @@ class FresnelDataset:
     """
 
     frequency: float
-    ring_radius: float
     tx_angles_deg: np.ndarray
     rx_angles_deg: np.ndarray
     total: np.ndarray
@@ -71,8 +70,8 @@ class FresnelDataset:
         return len(self.rx_angles_deg)
 
     def array(self) -> AntennaArray:
-        tx = ring_points(np.deg2rad(self.tx_angles_deg), self.ring_radius)
-        rx = ring_points(np.deg2rad(self.rx_angles_deg), self.ring_radius)
+        tx = ring_points(np.deg2rad(self.tx_angles_deg), RING_RADIUS)
+        rx = ring_points(np.deg2rad(self.rx_angles_deg), RING_RADIUS)
         return AntennaArray(tx_positions=tx, rx_positions=rx)
 
     def scattered(self) -> ScatteredData:
@@ -108,13 +107,14 @@ def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
     return records
 
 
-def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> FresnelDataset:
-    """Load one frequency from an ASCII measurement file and calibrate it.
+def to_hz(frequency: float) -> float:
+    """A frequency in Hz; values below 1e3 are read as GHz for convenience."""
+    return frequency * 1e9 if frequency < 1e3 else frequency
 
-    frequency is in Hz; values below 1e3 are read as GHz for convenience.
-    """
-    if frequency < 1e3:
-        frequency = frequency * 1e9
+
+def load_fresnel(path, frequency: float) -> FresnelDataset:
+    """Load one frequency (see `to_hz`) from an ASCII measurement file and calibrate it."""
+    frequency = to_hz(frequency)
     records = _parse_records(path)
 
     freqs_ghz = sorted({r[3] for r in records})
@@ -160,8 +160,8 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
 
     # Per-transmitter calibration at the diametrically opposite receiver.
     k0 = 2.0 * np.pi * f_hz / C0
-    tx_pos = ring_points(np.deg2rad(tx_angles), ring_radius)
-    rx_pos = ring_points(np.deg2rad(rx_angles), ring_radius)
+    tx_pos = ring_points(np.deg2rad(tx_angles), RING_RADIUS)
+    rx_pos = ring_points(np.deg2rad(rx_angles), RING_RADIUS)
     calibration = np.zeros(n_tx, dtype=np.complex128)
     for t in range(n_tx):
         want = (tx_angles[t] + 180.0) % 360.0
@@ -175,8 +175,7 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
         d = np.hypot(*(rx_pos[j] - tx_pos[t]))
         calibration[t] = line_source(k0, d) / meas
 
-    return FresnelDataset(frequency=f_hz, ring_radius=ring_radius,
-                          tx_angles_deg=tx_angles, rx_angles_deg=rx_angles,
+    return FresnelDataset(frequency=f_hz, tx_angles_deg=tx_angles, rx_angles_deg=rx_angles,
                           total=total, incident=incident, mask=mask,
                           calibration=calibration, frequencies=freqs_hz)
 
@@ -186,12 +185,13 @@ def load_fresnel(path, frequency: float, ring_radius: float = RING_RADIUS) -> Fr
 
 
 def fresnel_config(dataset: FresnelDataset, **overrides) -> ImagingConfig:
-    """Defaults for inverting a bench measurement: 0.2 m domain, 64x64."""
+    """Defaults for inverting a bench measurement: 0.2 m domain, 64x64.
+
+    The overrides are read like config JSON (see `config.from_dict`).
+    """
     base = dict(frequency=dataset.frequency, doi_side=0.2, m1=64, m2=64,
-                n_tx=dataset.n_tx, n_rx=dataset.n_rx,
-                ring_radius=dataset.ring_radius)
-    base.update(overrides)
-    return ImagingConfig(**base).validate()
+                n_tx=dataset.n_tx, n_rx=dataset.n_rx, ring_radius=RING_RADIUS)
+    return config_from_dict({**base, **overrides})
 
 
 def fresnel_reconstruct(dataset: FresnelDataset, **overrides):
@@ -205,38 +205,36 @@ def fresnel_reconstruct(dataset: FresnelDataset, **overrides):
 # Synthetic stand-in generator (foam shell with an external plastic rod)
 
 
-def foamdiel_scene(foam_eps: float = 1.45, plastic_eps: float = 3.0) -> Scene:
-    """Foam disk (80 mm diameter) with a plastic rod (31 mm) against it."""
+def foamdiel_scene() -> Scene:
+    """Foam disk (80 mm diameter, eps 1.45) with a plastic rod (31 mm, eps 3) against it."""
     foam_r = 0.040
     rod_r = 0.0155
     return Scene(shapes=(
-        Shape(kind="disk", eps_r=complex(foam_eps), center=(0.0, 0.0), radius=foam_r),
-        Shape(kind="disk", eps_r=complex(plastic_eps),
+        Shape(kind="disk", eps_r=complex(1.45), center=(0.0, 0.0), radius=foam_r),
+        Shape(kind="disk", eps_r=complex(3.0),
               center=(-(foam_r + rod_r), 0.0), radius=rod_r),
     ))
 
 
 def write_synthetic_foamdiel(path, frequency: float = 2e9, n_tx: int = 8,
-                             n_rx_per_tx: int = 241, ring_radius: float = RING_RADIUS,
-                             gen_cells: int = 96, seed: int = 7,
-                             snr_db: float = float("inf")) -> None:
+                             n_rx_per_tx: int = 241, gen_cells: int = 96,
+                             seed: int = 7) -> None:
     """Emit a measurement file in the ASCII format above.
 
     The fields come from the built-in forward solver on a generation grid
     (gen_cells, default 96) distinct from the usual 64-cell inversion grid,
     with a random complex gain per transmitter so the calibration path is
-    exercised. Floats are written with 17 significant digits so a reload
-    reproduces the matrices bit-exactly.
+    exercised, and no noise. Floats are written with 17 significant digits
+    so a reload reproduces the matrices bit-exactly.
     """
     rng = np.random.default_rng(seed)
     cfg = ImagingConfig(frequency=frequency, doi_side=0.2, m1=gen_cells,
-                        m2=gen_cells, n_tx=n_tx, n_rx=360,
-                        ring_radius=ring_radius).validate()
+                        m2=gen_cells, n_tx=n_tx, n_rx=360, ring_radius=RING_RADIUS)
     tx_angles = 360.0 * np.arange(n_tx) / n_tx
     rx_angles = np.arange(360.0)
-    array = AntennaArray(tx_positions=ring_points(np.deg2rad(tx_angles), ring_radius),
-                         rx_positions=ring_points(np.deg2rad(rx_angles), ring_radius))
-    sim = simulate(cfg, foamdiel_scene(), snr_db=snr_db, rng=rng, array=array)
+    array = AntennaArray(tx_positions=ring_points(np.deg2rad(tx_angles), RING_RADIUS),
+                         rx_positions=ring_points(np.deg2rad(rx_angles), RING_RADIUS))
+    sim = simulate(cfg, foamdiel_scene(), rng=rng, array=array)
     sca = sim.data.matrix                       # (n_tx, 360)
 
     d = np.linalg.norm(array.rx_positions[None, :, :] - array.tx_positions[:, None, :],

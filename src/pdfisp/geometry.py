@@ -64,7 +64,6 @@ def build_grid(config: ImagingConfig) -> GridGeometry:
 
     Centers are symmetric about the origin; cell_size = doi_side / m1.
     """
-    config.validate()
     cs = config.doi_side / config.m1
     half = config.doi_side / 2.0
     xs = -half + cs * (np.arange(config.m2) + 0.5)
@@ -85,8 +84,6 @@ def build_array(config: ImagingConfig) -> AntennaArray:
     Element k of n sits at angle 2*pi*k/n; the default radius is 20
     wavelengths (see ImagingConfig.radius).
     """
-    config.validate()
-
     def ring(n: int) -> np.ndarray:
         return ring_points(2.0 * np.pi * np.arange(n) / n, config.radius)
 

@@ -71,7 +71,6 @@ class Problem:
     @classmethod
     def build(cls, config: ImagingConfig, array: AntennaArray | None = None) -> "Problem":
         """The problem of `config` on `array` (the config's ring when None)."""
-        config.validate()
         array = build_array(config) if array is None else array
         tx, rx = (np.array(p, dtype=float) for p in (array.tx_positions, array.rx_positions))
         key = (config.frequency, config.doi_side, config.m1, config.m2, config.m_f,
@@ -196,7 +195,7 @@ def init_alpha(r0: np.ndarray, data: ScatteredData, e_inc: FieldSet,
 
 
 def csi_descent(obj: CsiObjective, n_views: int, target_data_loss: float,
-                time_limit: float, max_iters: int = 2_000_000) -> dict:
+                time_limit: float) -> dict:
     """Steepest descent with exact line search on the frozen-contrast objective.
 
     Reference solver for speed comparisons: runs until its data term matches
@@ -209,7 +208,7 @@ def csi_descent(obj: CsiObjective, n_views: int, target_data_loss: float,
     iters = 0
     g_stop = None
     state_l, data_l = obj.value_parts(alpha)
-    while data_l > target_data_loss and iters < max_iters:
+    while data_l > target_data_loss:
         if time.perf_counter() - t0 > time_limit:
             break
         g = obj.grad(alpha)

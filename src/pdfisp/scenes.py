@@ -7,12 +7,16 @@ a pixel belongs to a shape iff its center lies inside the shape.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import from_dict, read_json, write_json
 from .geometry import ComplexGrid, GridGeometry
+
+# the fields each shape kind needs
+KIND_FIELDS = {"disk": ("center", "radius"), "annulus": ("center", "r_inner", "r_outer"),
+               "polygon": ("vertices",)}
 
 
 class SceneError(ValueError):
@@ -67,13 +71,21 @@ def _points_in_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scene:
+    """Shapes in paint order; each needs a known kind, that kind's fields and
+    Re{eps_r} >= 1 (a physical dielectric)."""
+
     shapes: tuple[Shape, ...] = field(default_factory=tuple)
 
-    def validate(self) -> "Scene":
-        for s in self.shapes:
+    def __post_init__(self):
+        for i, s in enumerate(self.shapes):
+            if s.kind not in KIND_FIELDS:
+                raise SceneError(f"Scene.shapes[{i}]: unknown shape kind {s.kind!r}")
+            missing = [n for n in KIND_FIELDS[s.kind] if getattr(s, n) is None]
+            if missing:
+                raise SceneError(f"Scene.shapes[{i}] ({s.kind}): missing {', '.join(missing)}")
             if complex(s.eps_r).real < 1.0:
-                raise SceneError("every shape needs Re{eps_r} >= 1 (physical dielectric)")
-        return self
+                raise SceneError(f"Scene.shapes[{i}]: needs Re{{eps_r}} >= 1 (physical "
+                                 f"dielectric), got {s.eps_r}")
 
 
 def rasterize(scene: Scene, grid: GridGeometry) -> ComplexGrid:
@@ -82,7 +94,6 @@ def rasterize(scene: Scene, grid: GridGeometry) -> ComplexGrid:
     Background contrast is zero; shapes are applied in order, later ones
     overwriting earlier ones at overlapping pixels.
     """
-    scene.validate()
     chi = np.zeros(grid.n_cells, dtype=np.complex128)
     for shape in scene.shapes:
         mask = shape.contains(grid.centers)
@@ -94,22 +105,21 @@ def rasterize(scene: Scene, grid: GridGeometry) -> ComplexGrid:
 # Presets
 
 
-def austria_preset(eps_r: complex, scale: float = 1.0, doi_side: float = 1.5,
-                   margin: float = 1.5 / 64) -> Scene:
+def austria_preset(eps_r: complex, scale: float = 1.0) -> Scene:
     """Two disks over a large annulus: the classic three-component benchmark.
 
     The layout (disks of radius 0.2*s at (+-0.3*s, 0.6*s), annulus at
     (0, -0.2*s) with radii 0.3*s / 0.6*s) spans 1.6*s vertically, so s is
-    sized to fit the domain with a one-cell margin at scale=1; `scale`
-    shrinks or grows everything proportionally.
+    sized to fit the default 1.5 m domain with a one-cell (1.5/64 m) margin
+    at scale=1; `scale` shrinks or grows everything proportionally.
     """
-    s = scale * (doi_side / 2.0 - margin) / 0.8
+    s = scale * (1.5 / 2.0 - 1.5 / 64) / 0.8
     return Scene(shapes=(
         Shape(kind="disk", eps_r=eps_r, center=(-0.3 * s, 0.6 * s), radius=0.2 * s),
         Shape(kind="disk", eps_r=eps_r, center=(0.3 * s, 0.6 * s), radius=0.2 * s),
         Shape(kind="annulus", eps_r=eps_r, center=(0.0, -0.2 * s), r_inner=0.3 * s,
               r_outer=0.6 * s),
-    )).validate()
+    ))
 
 
 def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
@@ -127,18 +137,18 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
         t = np.linspace(0, 2 * np.pi, 11)[:-1]
         r = np.where(np.arange(10) % 2 == 0, 0.55, 0.25) * scale
         verts = tuple((float(r[i] * np.cos(t[i])), float(r[i] * np.sin(t[i]))) for i in range(10))
-        return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),)).validate()
+        return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),))
     if name == "case2":  # overlapping cylinders, two permittivities
         return Scene(shapes=(
             Shape(kind="disk", eps_r=e, center=(-0.15 * scale, 0.0), radius=0.3 * scale),
             Shape(kind="disk", eps_r=1.0 + 0.5 * (e - 1.0), center=(0.2 * scale, 0.1 * scale),
                   radius=0.25 * scale),
-        )).validate()
+        ))
     if name == "case3":  # concave U-shaped target
         w, h, t = 0.5 * scale, 0.5 * scale, 0.15 * scale
         verts = ((-w, -h), (w, -h), (w, h), (w - t, h), (w - t, -h + t),
                  (-w + t, -h + t), (-w + t, h), (-w, h))
-        return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),)).validate()
+        return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),))
     if name == "case4":  # mixed: annulus + bar + small disk
         bar = ((-0.55 * scale, 0.45 * scale), (0.55 * scale, 0.45 * scale),
                (0.55 * scale, 0.6 * scale), (-0.55 * scale, 0.6 * scale))
@@ -147,7 +157,7 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
                   r_outer=0.38 * scale),
             Shape(kind="polygon", eps_r=1.0 + 0.5 * (e - 1.0), vertices=bar),
             Shape(kind="disk", eps_r=e, center=(0.55 * scale, -0.45 * scale), radius=0.12 * scale),
-        )).validate()
+        ))
     raise SceneError(f"unknown preset scene {name!r}")
 
 
@@ -156,48 +166,22 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    out = []
-    for s in scene.shapes:
-        d: dict = {"kind": s.kind, "eps_r": [complex(s.eps_r).real, complex(s.eps_r).imag]}
-        if s.kind == "disk":
-            d.update(center=list(s.center), radius=s.radius)
-        elif s.kind == "annulus":
-            d.update(center=list(s.center), r_inner=s.r_inner, r_outer=s.r_outer)
-        elif s.kind == "polygon":
-            d.update(vertices=[list(v) for v in s.vertices])
-        out.append(d)
-    return {"shapes": out}
+    shapes = [{k: v for k, v in asdict(sh).items() if v is not None} for sh in scene.shapes]
+    for d in shapes:
+        d["eps_r"] = [complex(d["eps_r"]).real, complex(d["eps_r"]).imag]
+    return {"shapes": shapes}
 
 
 def scene_from_dict(d: dict) -> Scene:
-    shapes = []
-    for sd in d.get("shapes", []):
-        kind = sd["kind"]
-        re_im = sd["eps_r"]
-        eps = complex(re_im[0], re_im[1]) if isinstance(re_im, (list, tuple)) else complex(re_im)
-        if kind == "disk":
-            shapes.append(Shape(kind=kind, eps_r=eps, center=tuple(sd["center"]),
-                                radius=float(sd["radius"])))
-        elif kind == "annulus":
-            shapes.append(Shape(kind=kind, eps_r=eps, center=tuple(sd["center"]),
-                                r_inner=float(sd["r_inner"]), r_outer=float(sd["r_outer"])))
-        elif kind == "polygon":
-            shapes.append(Shape(kind=kind, eps_r=eps,
-                                vertices=tuple(tuple(v) for v in sd["vertices"])))
-        else:
-            raise SceneError(f"unknown shape kind {kind!r}")
-    return Scene(shapes=tuple(shapes)).validate()
+    return from_dict(Scene, d, SceneError)
 
 
 def save_scene(path, scene: Scene) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scene_to_dict(scene))
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_json(path))
 
 
 def resolve_scene(spec: str) -> Scene:

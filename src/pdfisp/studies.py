@@ -7,18 +7,16 @@ assigned deterministically per cell, so reruns reproduce tables exactly.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
-import hashlib
 import itertools
-import json
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .config import ConfigError, ImagingConfig, config_from_dict, config_hash, config_to_dict
+from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, config_from_dict, config_hash,
+                     config_to_dict, from_dict, json_digest, read_json, write_json)
 from .forward import SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
@@ -41,14 +39,26 @@ class StudySpec:
     scene_name: str = "austria"
     scene_eps: float = 2.0
     scene_scale: float = 1.0
-    axes: dict = field(default_factory=dict)           # config field -> value list
-    snr_db: float = float("inf")                       # dataset noise outside the noise study
-    snr_grid: tuple = (float("inf"), 10.0, 5.0, 1.0)
-    eps_grid: tuple = (2.0, 5.0, 8.0)
-    ablations: tuple = ("no_cco", "no_bridge", "no_bound", "no_tv")
-    sigmas: tuple = (0.001,)
+    axes: dict[str, list] = field(default_factory=dict)  # config field -> value list
+    snr_db: float = float("inf")                         # dataset noise outside the noise study
+    snr_grid: tuple[float, ...] = (float("inf"), 10.0, 5.0, 1.0)
+    eps_grid: tuple[float, ...] = (2.0, 5.0, 8.0)
+    ablations: tuple[str, ...] = ("no_cco", "no_bridge", "no_bound", "no_tv")
+    sigmas: tuple[float, ...] = (0.001,)
     n_realizations: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in STUDIES:
+            raise ConfigError(f"StudySpec.kind: unknown study kind {self.kind!r}; "
+                              f"known: {sorted(STUDIES)}")
+        unknown = [a for a in self.ablations if a not in ABLATION_FLAGS]
+        if unknown:
+            raise ConfigError(f"StudySpec.ablations: unknown {unknown}; "
+                              f"known: {sorted(ABLATION_FLAGS)}")
+        bad = [k for k in self.axes if k not in SCALAR_FIELDS]
+        if bad:
+            raise ConfigError(f"StudySpec.axes: {bad} are not scalar ImagingConfig fields")
 
     def scene(self, eps: float | None = None) -> Scene:
         return builtin_scene(self.scene_name, eps_r=eps if eps is not None else self.scene_eps,
@@ -56,34 +66,19 @@ class StudySpec:
 
 
 def spec_to_dict(spec: StudySpec) -> dict:
-    d = dataclasses.asdict(spec)
-    d["config"] = config_to_dict(spec.config)
-    return d
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> StudySpec:
-    d = dict(d)
-    unknown = set(d) - {f.name for f in dataclasses.fields(StudySpec)}
-    if unknown:
-        raise ConfigError(f"unknown study spec keys: {sorted(unknown)}")
-    cfg = config_from_dict(d.pop("config", {}))
-    for key in ("snr_grid", "eps_grid", "ablations", "sigmas"):
-        if key in d:
-            d[key] = tuple(d[key])
-    if "axes" in d:
-        d["axes"] = {k: list(v) for k, v in d["axes"].items()}
-    return StudySpec(config=cfg, **d)
+    return from_dict(StudySpec, d)
 
 
 def load_study_spec(path) -> StudySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json(path))
 
 
 def save_study_spec(path, spec: StudySpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
+    write_json(path, spec_to_dict(spec))
 
 
 # ----------------------------------------------------------------------
@@ -104,29 +99,25 @@ def _cell_metrics(result: ReconstructionResult) -> dict:
     }
 
 
-METRIC_COLUMNS = ["rel_error", "wall_time", "loss_state", "loss_data", "loss_total",
+# CSV columns; rows also carry `wall_time`, which stays out of the hashed CSVs
+# so that `pdf-isp rerun` of a study is bit-exact
+METRIC_COLUMNS = ["rel_error", "loss_state", "loss_data", "loss_total",
                   "components", "peak_eps", "min_eps"]
-
-
-def _cell_key(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()[:20]
 
 
 def _resume_or_run(out_dir, payload: dict, runner) -> dict:
     """Load a finished cell from disk or run it; a raising runner gives an `error` row."""
-    cell_file = None if out_dir is None else Path(out_dir) / "cells" / f"{_cell_key(payload)}.json"
+    key = json_digest(payload)[:20]
+    cell_file = None if out_dir is None else Path(out_dir) / "cells" / f"{key}.json"
     if cell_file is not None and cell_file.exists():
-        with open(cell_file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(cell_file)
     try:
         row = runner()
     except Exception as exc:  # record the failure, keep the study going
         row = dict(payload, error=f"{type(exc).__name__}: {exc}")
     if cell_file is not None:
         cell_file.parent.mkdir(parents=True, exist_ok=True)
-        with open(cell_file, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2, sort_keys=True)
+        write_json(cell_file, row)
     return row
 
 
@@ -174,7 +165,7 @@ def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
     cells = []
     for idx, values in enumerate(itertools.product(*(spec.axes[n] for n in names))):
         overrides = dict(zip(names, values))
-        cfg = dc_replace(spec.config, **overrides).validate()
+        cfg = config_from_dict({**config_to_dict(spec.config), **overrides})
 
         def runner(cfg=cfg, idx=idx, overrides=overrides):
             sim = simulate(cfg, scene, snr_db=spec.snr_db,
@@ -258,7 +249,7 @@ def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
 
         cells.append((cfg, {"variant": name, "snr_db": spec.snr_db}, runner))
     cols = ["variant", "rel_error", "peak_eps", "min_eps", "n_below_one",
-            "gap_spurious", "components", "loss_data", "loss_total", "wall_time"]
+            "gap_spurious", "components", "loss_data", "loss_total"]
     rows = _run_cells("ablation", spec, cells, out_dir, cols)
     return {name: row for (name, _), row in zip(variants, rows)}
 
@@ -288,8 +279,7 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
 
             params = {"sigma": sigma, "sigma_index": si, "realization": r}
             cells.append((spec.config, params, runner))
-    rows = _run_cells("monte_carlo", spec, cells, out_dir,
-                      ["sigma", "realization", "rel_error", "wall_time"])
+    rows = _run_cells("monte_carlo", spec, cells, out_dir, ["sigma", "realization", "rel_error"])
 
     out: dict[float, dict] = {}
     for sigma in spec.sigmas:
@@ -306,10 +296,10 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
     return out
 
 
+STUDIES = {"sweep": run_sweep, "noise": run_noise_study, "ablation": run_ablation,
+           "monte_carlo": run_monte_carlo}
+
+
 def run_study(spec: StudySpec, out_dir=None):
     """Dispatch on spec.kind."""
-    runner = {"sweep": run_sweep, "noise": run_noise_study, "ablation": run_ablation,
-              "monte_carlo": run_monte_carlo}.get(spec.kind)
-    if runner is None:
-        raise ValueError(f"unknown study kind {spec.kind!r}")
-    return runner(spec, out_dir=out_dir)
+    return STUDIES[spec.kind](spec, out_dir=out_dir)

@@ -85,6 +85,51 @@ def test_mismatched_data_is_runtime_error(sim_dir, tmp_path, capsys):
     assert code == 2
 
 
+def _json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+TINY_CONFIG = {"m1": 16, "m2": 16, "m_f": 3, "n_tx": 8, "n_rx": 8, "k_iters": 2}
+DISK = {"kind": "disk", "eps_r": 2.0, "center": [0.0, 0.0]}
+SIM = ["simulate", *TINY, "--scene"]
+MALFORMED = {   # name -> (argv before --out, {d} standing for the test's directory; field)
+    "set m1 text": ([*SIM, "austria:2", "--set", "m1=abc"], "ImagingConfig.m1"),
+    "set beta text": ([*SIM, "austria:2", "--set", "beta=abc"], "ImagingConfig.beta"),
+    "set m1 float": ([*SIM, "austria:2", "--set", "m1=64.0"], "ImagingConfig.m1"),
+    "set k_iters float": ([*SIM, "austria:2", "--set", "k_iters=2.5"], "ImagingConfig.k_iters"),
+    "set use_cco text": ([*SIM, "austria:2", "--set", "use_cco=maybe"], "ImagingConfig.use_cco"),
+    "config m1 string": ([*SIM, "austria:2", "--config", "{d}/m1.json"], "ImagingConfig.m1"),
+    "config cco key": ([*SIM, "austria:2", "--config", "{d}/cco.json"],
+                       "CcoParams keys: ['bogus']"),
+    "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
+    "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
+    "spec ablation": (["study", "--spec", "{d}/ablation.json"], "StudySpec.ablations"),
+    "spec sweep axis": (["study", "--spec", "{d}/axis.json"], "StudySpec.axes: ['bogus']"),
+    "spec snr_grid": (["study", "--spec", "{d}/snr_grid.json"], "StudySpec.snr_grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_names_the_field(name, tmp_path, capsys):
+    _json(tmp_path / "m1.json", {"m1": "64"})
+    _json(tmp_path / "cco.json", {"cco": {"bogus": 1}})
+    _json(tmp_path / "no_radius.json", {"shapes": [DISK]})
+    _json(tmp_path / "radios.json", {"shapes": [dict(DISK, radius=0.3, radios=0.3)]})
+    _json(tmp_path / "ablation.json", {"kind": "ablation", "ablations": ["no_foo"],
+                                       "config": TINY_CONFIG})
+    _json(tmp_path / "axis.json", {"kind": "sweep", "axes": {"bogus": [1]},
+                                   "config": TINY_CONFIG})
+    _json(tmp_path / "snr_grid.json", {"kind": "noise", "snr_grid": "abc",
+                                       "config": TINY_CONFIG})
+    argv, field = MALFORMED[name]
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_unknown_study_spec_key_is_runtime_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     tiny = {"m1": 16, "m2": 16, "m_f": 3, "n_tx": 8, "n_rx": 8, "k_iters": 2}
@@ -186,6 +231,19 @@ def test_rerun_reconstruct_matches(recon_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "replay")])
     assert code == 0
     assert "DIFFERS" not in capsys.readouterr().out
+
+
+def test_rerun_study_matches(tmp_path, capsys):
+    spec = _json(tmp_path / "spec.json", {"kind": "noise", "snr_grid": [10.0],
+                                          "eps_grid": [2.0], "config": TINY_CONFIG})
+    out = tmp_path / "study"
+    assert main(["study", "--spec", spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["rerun", "--manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "replay")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines and all(line.startswith("ok ") for line in lines)
 
 
 def test_rerun_detects_tampered_outputs(sim_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pdfisp.config import (C0, CcoParams, ConfigError, ImagingConfig, config_from_dict,
@@ -75,6 +76,18 @@ def test_unknown_key_rejected():
     d["not_a_field"] = 1
     with pytest.raises(ConfigError):
         config_from_dict(d)
+
+
+def test_reader_keeps_ints_and_rejects_wrong_types():
+    cfg = config_from_dict({"beta": 6, "ring_radius": None, "cco": {"tau": 2}})
+    assert type(cfg.beta) is int and type(cfg.cco.tau) is int      # no coercion
+    assert config_hash(cfg) == config_hash(ImagingConfig(beta=6, cco=CcoParams(tau=2)))
+    for bad in ({"beta": True}, {"m1": True}, {"use_cco": 1}, {"cco": 1},
+                {"ring_radius": "3"}, {"rng_seed": None}):
+        with pytest.raises(ConfigError, match=f"ImagingConfig.{next(iter(bad))}"):
+            config_from_dict(bad)
+    # library callers are not type-checked, only checked for the invariants
+    assert ImagingConfig(m1=np.int64(16), m2=16, m_f=3).m1 == 16
 
 
 def test_hash_stable_and_sensitive():

@@ -48,6 +48,15 @@ def test_dataset_round_trip_with_mask(tmp_path):
     assert back.snr_db == 5.0 and meta == {}
 
 
+def test_dataset_round_trip_keeps_signed_zeros_and_nonfinite_parts(tmp_path):
+    mat = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)],
+                    [complex(1.0, np.nan), complex(-np.inf, -0.0)]])
+    path = tmp_path / "d.emsca"
+    save_dataset(path, ScatteredData(matrix=mat))
+    back, _ = load_dataset(path)
+    assert back.matrix.tobytes() == mat.tobytes()
+
+
 def test_grid_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))

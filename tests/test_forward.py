@@ -195,6 +195,18 @@ def test_awgn_deterministic_and_infinite_passthrough():
     assert c.mask is data.mask
 
 
+def test_awgn_respects_the_mask():
+    rng = np.random.default_rng(11)
+    mask = rng.random((200, 200)) < 0.5
+    clean = np.where(mask, rng.standard_normal(mask.shape)
+                     + 1j * rng.standard_normal(mask.shape), 0.0)
+    noisy = add_awgn(ScatteredData(matrix=clean, mask=mask), 10.0, np.random.default_rng(0))
+    assert np.all(noisy.matrix[~mask] == 0)
+    noise = (noisy.matrix - clean)[mask]
+    want = np.vdot(clean, clean).real / 10.0
+    assert np.vdot(noise, noise).real == pytest.approx(want, rel=0.05)
+
+
 # ----------------------------------------------------------------------
 # One-call simulation
 

@@ -59,13 +59,26 @@ def test_later_shapes_overwrite():
 
 def test_nonphysical_permittivity_rejected():
     with pytest.raises(SceneError):
-        Scene(shapes=(Shape(kind="disk", eps_r=0.5, center=(0, 0), radius=0.1),)).validate()
+        Scene(shapes=(Shape(kind="disk", eps_r=0.5, center=(0, 0), radius=0.1),))
 
 
 def test_unknown_kind_rejected():
     shape = Shape(kind="blob", eps_r=2.0)
     with pytest.raises(SceneError):
         shape.contains(np.zeros((1, 2)))
+
+
+def test_scene_checks_each_shape_by_index():
+    disk = Shape(kind="disk", eps_r=2.0, center=(0.0, 0.0), radius=0.1)
+    with pytest.raises(SceneError, match=r"shapes\[1\]: unknown shape kind 'blob'"):
+        Scene(shapes=(disk, Shape(kind="blob", eps_r=2.0)))
+    with pytest.raises(SceneError, match=r"shapes\[0\] \(annulus\): missing r_inner"):
+        Scene(shapes=(Shape(kind="annulus", eps_r=2.0, center=(0, 0), r_outer=0.2),))
+    with pytest.raises(SceneError, match=r"Shape.kind is missing"):
+        scene_from_dict({"shapes": [{"eps_r": 2.0}]})
+    back = scene_from_dict({"shapes": [{"kind": "disk", "eps_r": [2, 0.5], "center": [0, 0],
+                                        "radius": 1}]})
+    assert back.shapes[0].eps_r == 2 + 0.5j and back.shapes[0].center == (0, 0)
 
 
 def test_three_component_preset_has_three_components():

@@ -294,7 +294,7 @@ def test_monte_carlo_failed_realization_is_an_error_row(tmp_path, small_spec, mo
     assert all(np.isnan(v) for v in out[0.002]["stats"].values())
 
     lines = (tmp_path / "monte_carlo.csv").read_text().splitlines()
-    assert lines[0] == "sigma,realization,rel_error,wall_time,error"
+    assert lines[0] == "sigma,realization,rel_error,error"
     assert len(lines) == 5
     assert sum(line.endswith("RuntimeError: solver blew up") for line in lines) == 3
 
