@@ -50,15 +50,13 @@ def r_to_chi(r: np.ndarray, beta: complex) -> np.ndarray:
     return r / (beta * den)
 
 
-def default_eps_reg(e_views: np.ndarray) -> float:
+def default_eps_reg(view_power: np.ndarray, n_cells: int) -> float:
     """Regularizer floor 1e-10 * max_view ||E||^2 / n_cells.
 
-    Keeps the per-pixel least squares finite at field nulls without biasing
-    bright pixels.
+    `view_power` holds the per-view powers ||E_i||^2. Keeps the per-pixel
+    least squares finite at field nulls without biasing bright pixels.
     """
-    m = e_views.shape[-1] * e_views.shape[-2]
-    power = np.einsum("nij,nij->n", np.conj(e_views), e_views).real
-    return float(1e-10 * power.max() / m)
+    return float(1e-10 * np.max(view_power) / n_cells)
 
 
 @dataclass
@@ -78,11 +76,13 @@ def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray) -> ContrastRec
 
     chi[m] = sum_i J_i[m] conj(E_i[m]) / (sum_i |E_i[m]|^2 + eps_reg), the
     least-squares solution of J_i = chi * E_i across views at each pixel,
-    with eps_reg from `default_eps_reg`.
+    with eps_reg from `default_eps_reg`. |E_i|^2 is formed once and feeds
+    both the floor and the denominator.
     """
-    eps_reg = default_eps_reg(e_views)
+    power = e_views.real ** 2 + e_views.imag ** 2
+    eps_reg = default_eps_reg(power.sum((1, 2)), power[0].size)
     num = np.einsum("nij,nij->ij", j_views, np.conj(e_views))
-    den = np.einsum("nij,nij->ij", e_views, np.conj(e_views)).real + eps_reg
+    den = power.sum(0) + eps_reg
     chi = num / den
     return ContrastRecovery(chi=chi, j_views=j_views, e_views=e_views, denominator=den,
                             eps_reg=eps_reg, degenerate=den <= 10.0 * eps_reg)

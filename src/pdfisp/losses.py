@@ -310,8 +310,7 @@ def pipeline_backward(state: PipelineState, ctx: LossContext) -> np.ndarray:
     g_chi = state.penalty_grad
     if ctx.r_fixed is None:
         res = state.res.state
-        g_r = (2.0 / ctx.c_inc) * (np.einsum("nij,nij->ij", np.conj(e), res)
-                                   + ctx.beta * np.einsum("nij,nij->ij", np.conj(j), res))
+        g_r = (2.0 / ctx.c_inc) * np.einsum("nij,nij->ij", np.conj(e + ctx.beta * j), res)
         g_phys = np.conj(ctx.beta / (ctx.beta * physical_branch(chi) + 1.0) ** 2) * g_r
         g_chi = g_chi + np.where(chi.real > 0.0, g_phys, 1j * g_phys.imag)
 

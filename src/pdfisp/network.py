@@ -6,7 +6,9 @@ weights rather than the coefficients directly. The output layer starts at
 zero, making the first iterate exactly the physics-derived initialization.
 Gradients are hand-derived reverse mode through the full composite loss
 (see losses.pipeline_backward for the physics half); the optimizer is
-textbook Adam.
+bias-corrected Adam with the corrections folded into two scalars, run in
+cache-sized blocks over preallocated memory (`adam_step`), whose step norm
+is the one finiteness check of an iteration.
 
 Widths are [2*m0, 4*m0, 4*m0, 2*m0] with tanh hidden activations; the two
 halves of the input/output are the real and imaginary coefficient parts.
@@ -206,7 +208,9 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
 
     Runs the network forward, evaluates the composite loss at
     alpha0 + delta-alpha, pulls the loss gradient back to the network output
-    (real/imaginary channels), then through the affine-tanh stack.
+    (real/imaginary channels), then through the affine-tanh stack. A
+    nonfinite loss raises in `pipeline_forward`; the gradient itself is
+    checked by `adam_step`, before any weight moves.
     """
     alpha0 = np.atleast_2d(np.asarray(alpha0, dtype=np.complex128))
     scales = _feature_scales(alpha0)
@@ -230,9 +234,6 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
     gz1 = gh1 * (1.0 - h1 * h1)
     np.matmul(gz1.T, x0, out=gw1)
     np.sum(gz1, axis=0, out=gb1)
-
-    if not np.isfinite(flat).all():
-        raise FloatingPointError("nonfinite parameter gradient")
     return flat, state.breakdown
 
 
@@ -242,19 +243,29 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
 ADAM_B1 = 0.9     # first-moment decay
 ADAM_B2 = 0.999   # second-moment decay
 ADAM_EPS = 1e-8   # added to the root of the second moment
+# Elements per block of the Adam step: the block's slices of m, v, the
+# gradient and the work buffer (256 KB each) fit in a core's L2 together.
+ADAM_BLOCK = 32768
 
 
 @dataclass
 class AdamState:
     """First/second moment accumulators over the flattened parameters.
 
-    adam_step updates the moments and the step count in place.
+    adam_step updates the moments and the step count in place, forms each
+    step in the preallocated `work` buffer and records the step's 2-norm in
+    `update_norm` (nan before the first step).
     """
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     lr: float = 1e-2
+    update_norm: float = field(init=False, default=float("nan"))
+    work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = np.empty_like(self.m)
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 1e-2) -> "AdamState":
@@ -266,25 +277,41 @@ def adam_step(state: AdamState, params: NetworkParams,
               grad: np.ndarray) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update, in place; returns params and state.
 
-    The step is formed in a scratch buffer and checked before it touches
-    the parameters, so a nonfinite step leaves the weights unchanged.
+    The bias corrections fold into two scalars,
+    lr*(m/c1)/(sqrt(v/c2) + eps) = a*m/(sqrt(v) + b) with a = lr*sqrt(c2)/c1
+    and b = eps*sqrt(c2), and the step runs over ADAM_BLOCK elements at a
+    time, so every pass but the final subtraction works on data in cache.
+    The step is formed in `state.work` and its squared norm summed on the
+    way; that sum is the step's one finiteness check. A nonfinite gradient
+    or step raises FloatingPointError before any weight moves (the moments
+    are already updated by then).
     """
     if grad.shape != params.flat.shape:
         raise ValueError("gradient length does not match parameter count")
     t = state.step + 1
-    m, v = state.m, state.v
-    m *= ADAM_B1
-    m += (1.0 - ADAM_B1) * grad
-    v *= ADAM_B2
-    v += (1.0 - ADAM_B2) * (grad * grad)
-    den = v / (1.0 - ADAM_B2 ** t)
-    np.sqrt(den, out=den)
-    den += ADAM_EPS
-    upd = m / (1.0 - ADAM_B1 ** t)
-    upd /= den
-    upd *= state.lr
-    if not np.isfinite(upd).all():
-        raise FloatingPointError("nonfinite parameters after optimizer step")
-    params.flat -= upd
+    root_c2 = np.sqrt(1.0 - ADAM_B2 ** t)
+    a = state.lr * root_c2 / (1.0 - ADAM_B1 ** t)
+    b = ADAM_EPS * root_c2
+    norm2 = 0.0
+    with np.errstate(invalid="ignore"):       # inf/inf: reported by the check below
+        for lo in range(0, grad.size, ADAM_BLOCK):
+            blk = slice(lo, lo + ADAM_BLOCK)
+            g, m, v, w = grad[blk], state.m[blk], state.v[blk], state.work[blk]
+            m *= ADAM_B1
+            np.multiply(g, 1.0 - ADAM_B1, out=w)
+            m += w
+            np.multiply(g, g, out=w)
+            w *= 1.0 - ADAM_B2
+            v *= ADAM_B2
+            v += w
+            np.sqrt(v, out=w)
+            w += b
+            np.divide(m, w, out=w)
+            w *= a
+            norm2 += float(np.dot(w, w))
+    if not np.isfinite(norm2):
+        raise FloatingPointError("nonfinite optimizer step")
+    params.flat -= state.work
     state.step = t
+    state.update_norm = float(np.sqrt(norm2))
     return params, state

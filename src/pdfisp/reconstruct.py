@@ -38,6 +38,7 @@ class ReconstructionResult:
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
     rel_error: float | None = None
+    update_norms: list[float] = field(default_factory=list)   # Adam step 2-norm per iteration
 
     @property
     def eps_r(self) -> np.ndarray:
@@ -254,10 +255,12 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     ctx = problem.loss_context(data, r_fixed=r0 if config.freeze_r else None)
 
     trace: list[LossBreakdown] = []
+    update_norms: list[float] = []
     for _ in range(config.k_iters):
         g, bd = grad_loss(net, alpha0, ctx)
         trace.append(bd)
         net, adam = adam_step(adam, net, g)
+        update_norms.append(adam.update_norm)
 
     alpha_hat = alpha0 + forward_net(net, alpha0)
     final = pipeline_forward(alpha_hat, ctx)
@@ -272,7 +275,8 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
-                                final_loss=final_bd, wall_time=wall, rel_error=rel)
+                                final_loss=final_bd, wall_time=wall, rel_error=rel,
+                                update_norms=update_norms)
 
 
 # ----------------------------------------------------------------------

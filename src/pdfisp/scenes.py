@@ -14,6 +14,8 @@ import numpy as np
 from .config import from_dict, read_json, write_json
 from .geometry import ComplexGrid, GridGeometry
 
+# the names builtin_scene knows
+PRESET_NAMES = ("austria", "case1", "case2", "case3", "case4")
 # the fields each shape kind needs
 KIND_FIELDS = {"disk": ("center", "radius"), "annulus": ("center", "r_inner", "r_outer"),
                "polygon": ("vertices",)}
@@ -130,6 +132,8 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
     of differing permittivity, a concave U-shaped target, and a mixed scene.
     Their geometries are illustrative presets, not measured objects.
     """
+    if name not in PRESET_NAMES:
+        raise SceneError(f"unknown preset scene {name!r}; known: {list(PRESET_NAMES)}")
     e = complex(eps_r)
     if name == "austria":
         return austria_preset(e, scale=scale)
@@ -149,16 +153,15 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
         verts = ((-w, -h), (w, -h), (w, h), (w - t, h), (w - t, -h + t),
                  (-w + t, -h + t), (-w + t, h), (-w, h))
         return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),))
-    if name == "case4":  # mixed: annulus + bar + small disk
-        bar = ((-0.55 * scale, 0.45 * scale), (0.55 * scale, 0.45 * scale),
-               (0.55 * scale, 0.6 * scale), (-0.55 * scale, 0.6 * scale))
-        return Scene(shapes=(
-            Shape(kind="annulus", eps_r=e, center=(0.0, -0.15 * scale), r_inner=0.18 * scale,
-                  r_outer=0.38 * scale),
-            Shape(kind="polygon", eps_r=1.0 + 0.5 * (e - 1.0), vertices=bar),
-            Shape(kind="disk", eps_r=e, center=(0.55 * scale, -0.45 * scale), radius=0.12 * scale),
-        ))
-    raise SceneError(f"unknown preset scene {name!r}")
+    # case4, mixed: annulus + bar + small disk
+    bar = ((-0.55 * scale, 0.45 * scale), (0.55 * scale, 0.45 * scale),
+           (0.55 * scale, 0.6 * scale), (-0.55 * scale, 0.6 * scale))
+    return Scene(shapes=(
+        Shape(kind="annulus", eps_r=e, center=(0.0, -0.15 * scale), r_inner=0.18 * scale,
+              r_outer=0.38 * scale),
+        Shape(kind="polygon", eps_r=1.0 + 0.5 * (e - 1.0), vertices=bar),
+        Shape(kind="disk", eps_r=e, center=(0.55 * scale, -0.45 * scale), radius=0.12 * scale),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +194,14 @@ def resolve_scene(spec: str) -> Scene:
     'austria:2' or 'case3:5:0.8'.
     """
     if ":" in spec and not spec.lower().endswith(".json"):
-        parts = spec.split(":")
-        name = parts[0]
-        eps = complex(parts[1]) if len(parts) > 1 else 2.0
-        scale = float(parts[2]) if len(parts) > 2 else 1.0
-        return builtin_scene(name, eps_r=eps, scale=scale)
+        name, *parts = spec.split(":")
+        if len(parts) > 2:
+            raise SceneError(f"scene {spec!r}: expected name:eps_r[:scale]")
+        values = {}
+        for part, (key, parse) in zip(parts, (("eps_r", complex), ("scale", float))):
+            try:
+                values[key] = parse(part)
+            except ValueError:
+                raise SceneError(f"scene {spec!r}: {key} {part!r} is not a number") from None
+        return builtin_scene(name, **values)
     return load_scene(spec)

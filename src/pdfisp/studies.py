@@ -20,7 +20,7 @@ from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, config_from_dict
 from .forward import SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
-from .scenes import Scene, builtin_scene
+from .scenes import PRESET_NAMES, Scene, builtin_scene
 
 ABLATION_FLAGS = {
     "no_cco": {"use_cco": False},
@@ -49,6 +49,9 @@ class StudySpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.scene_name not in PRESET_NAMES:
+            raise ConfigError(f"StudySpec.scene_name: unknown preset scene {self.scene_name!r}; "
+                              f"known: {list(PRESET_NAMES)}")
         if self.kind not in STUDIES:
             raise ConfigError(f"StudySpec.kind: unknown study kind {self.kind!r}; "
                               f"known: {sorted(STUDIES)}")

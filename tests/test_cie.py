@@ -59,7 +59,8 @@ def test_default_regularizer_formula():
     rng = np.random.default_rng(2)
     e = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
     power = np.einsum("nij,nij->n", np.conj(e), e).real
-    assert default_eps_reg(e) == pytest.approx(1e-10 * power.max() / 36.0)
+    assert default_eps_reg(power, 36) == pytest.approx(1e-10 * power.max() / 36.0)
+    assert pixel_least_squares(0.5 * e, e).eps_reg == pytest.approx(default_eps_reg(power, 36))
 
 
 def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):

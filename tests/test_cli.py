@@ -104,9 +104,16 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                        "CcoParams keys: ['bogus']"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
     "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
+    "scene eps_r text": ([*SIM, "austria:abc"], "eps_r 'abc'"),
+    "scene scale text": ([*SIM, "austria:2:x"], "scale 'x'"),
+    "scene extra part": ([*SIM, "austria:2:1:5"], "expected name:eps_r[:scale]"),
     "spec ablation": (["study", "--spec", "{d}/ablation.json"], "StudySpec.ablations"),
     "spec sweep axis": (["study", "--spec", "{d}/axis.json"], "StudySpec.axes: ['bogus']"),
     "spec snr_grid": (["study", "--spec", "{d}/snr_grid.json"], "StudySpec.snr_grid"),
+    "spec scene_name noise": (["study", "--spec", "{d}/scene_noise.json"],
+                              "StudySpec.scene_name"),
+    "spec scene_name sweep": (["study", "--spec", "{d}/scene_sweep.json"],
+                              "StudySpec.scene_name"),
 }
 
 
@@ -122,6 +129,9 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
                                    "config": TINY_CONFIG})
     _json(tmp_path / "snr_grid.json", {"kind": "noise", "snr_grid": "abc",
                                        "config": TINY_CONFIG})
+    for kind in ("noise", "sweep"):
+        _json(tmp_path / f"scene_{kind}.json", {"kind": kind, "scene_name": "nonagon",
+                                                "config": TINY_CONFIG})
     argv, field = MALFORMED[name]
     argv = [a.format(d=tmp_path) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -195,6 +205,13 @@ def test_reconstruct_outputs(recon_dir):
     assert metrics["rel_error"] is not None
     assert {"final_loss", "peak_eps", "min_eps", "components_above_1p5"} <= set(metrics)
     assert (recon_dir / "eps_r.pgm").read_bytes().startswith(b"P5\n16 16\n255\n")
+
+
+def test_trace_has_finite_update_norms(recon_dir):
+    lines = (recon_dir / "trace.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "update_norm"
+    norms = np.array([float(line.split(",")[-1]) for line in lines[1:]])
+    assert norms.shape == (2,) and np.isfinite(norms).all() and (norms > 0).all()
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,12 @@ def test_trace_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,state,data,bound,tv,bridge,total"
     assert lines[1] == "0,1,2,0.5,0.25,0.125,3.875"
+    write_trace(path, trace, update_norms=[0.0625])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iteration,state,data,bound,tv,bridge,total,update_norm"
+    assert lines[1] == "0,1,2,0.5,0.25,0.125,3.875,0.0625"
+    with pytest.raises(ValueError):
+        write_trace(path, trace, update_norms=[])
 
 
 def test_sha256_matches_hashlib(tmp_path):

@@ -1,4 +1,6 @@
 """Coefficient-correction network: forward pass, exact gradients, Adam."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,51 @@ def test_adam_state_shapes():
     assert state.lr == 3e-3
     assert state.m.shape == state.v.shape == (params.n_params(),)
     assert not state.m.any() and not state.v.any()
+
+
+def test_adam_matches_reference_across_blocks():
+    """131 712 parameters: four full blocks and a 640-element tail."""
+    rng = np.random.default_rng(11)
+    params = init_network(64, rng)
+    assert params.n_params() % network.ADAM_BLOCK == 640
+    state = AdamState.for_params(params, lr=1e-2)
+    flat0 = flatten_params(params)
+    grads = [rng.standard_normal(flat0.size) for _ in range(5)]
+    for g in grads:
+        before = flatten_params(params)
+        params, state = adam_step(state, params, g)
+    want = oracles.adam_sequence(flat0, grads, lr=1e-2)
+    assert np.abs(params.flat - want).max() < 1e-14
+    assert state.update_norm == pytest.approx(np.linalg.norm(params.flat - before), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_step_leaves_weights_untouched(bad):
+    rng = np.random.default_rng(12)
+    params = init_network(64, rng)
+    state = AdamState.for_params(params)
+    params, state = adam_step(state, params, rng.standard_normal(params.n_params()))
+    before = params.flat.tobytes()
+    g = rng.standard_normal(params.n_params())
+    g[-1] = bad                                   # in the tail block
+    with pytest.raises(FloatingPointError):
+        adam_step(state, params, g)
+    assert params.flat.tobytes() == before
+    assert state.step == 1
+
+
+def test_adam_work_buffer_allocated_once():
+    rng = np.random.default_rng(13)
+    params = init_network(64, rng)
+    state = AdamState.for_params(params)
+    work = state.work
+    grads = [rng.standard_normal(params.n_params()) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        for g in grads:
+            params, state = adam_step(state, params, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.work is work
+    assert peak < params.flat.nbytes // 8          # no parameter-sized temporary

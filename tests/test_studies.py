@@ -32,6 +32,12 @@ def test_spec_round_trip(tmp_path, small_spec):
     assert config_to_dict(loaded.config) == config_to_dict(spec.config)
 
 
+@pytest.mark.parametrize("kind", ["sweep", "noise", "ablation", "monte_carlo"])
+def test_spec_rejects_unknown_scene(kind):
+    with pytest.raises(ValueError, match="StudySpec.scene_name: unknown preset scene 'nonagon'"):
+        StudySpec(kind=kind, scene_name="nonagon")
+
+
 def test_spec_from_dict_defaults():
     spec = spec_from_dict({"kind": "noise"})
     assert spec.kind == "noise"
