@@ -161,16 +161,12 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
 # Traces, metrics, manifests
 
 
-def write_trace(path, trace, update_norms=None) -> None:
+def write_trace(path, trace, update_norms) -> None:
     """One CSV row per iteration: its loss terms, then the norm of the
-    optimizer step taken after it when `update_norms` is given."""
-    header = "iteration,state,data,bound,tv,bridge,total"
-    rows = [bd.as_row() for bd in trace]
-    if update_norms is not None:
-        header += ",update_norm"
-        rows = [(*row, u) for row, u in zip(rows, update_norms, strict=True)]
+    optimizer step taken after it."""
+    rows = [(*bd.as_row(), u) for bd, u in zip(trace, update_norms, strict=True)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write("iteration,state,data,bound,tv,bridge,total,update_norm\n")
         for k, row in enumerate(rows):
             fh.write(f"{k}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 

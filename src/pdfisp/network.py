@@ -283,8 +283,9 @@ def adam_step(state: AdamState, params: NetworkParams,
     time, so every pass but the final subtraction works on data in cache.
     The step is formed in `state.work` and its squared norm summed on the
     way; that sum is the step's one finiteness check. A nonfinite gradient
-    or step raises FloatingPointError before any weight moves (the moments
-    are already updated by then).
+    or step raises FloatingPointError before any weight moves. The moments
+    are already updated by then, so after a nonfinite gradient they hold
+    nonfinite entries and every later step with this state raises too.
     """
     if grad.shape != params.flat.shape:
         raise ValueError("gradient length does not match parameter count")

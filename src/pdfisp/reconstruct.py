@@ -37,8 +37,8 @@ class ReconstructionResult:
     trace: list[LossBreakdown]    # one entry per iteration
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
+    update_norms: list[float]     # Adam step 2-norm per iteration
     rel_error: float | None = None
-    update_norms: list[float] = field(default_factory=list)   # Adam step 2-norm per iteration
 
     @property
     def eps_r(self) -> np.ndarray:
@@ -275,8 +275,8 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
-                                final_loss=final_bd, wall_time=wall, rel_error=rel,
-                                update_norms=update_norms)
+                                final_loss=final_bd, wall_time=wall,
+                                update_norms=update_norms, rel_error=rel)
 
 
 # ----------------------------------------------------------------------

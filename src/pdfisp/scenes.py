@@ -132,8 +132,6 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
     of differing permittivity, a concave U-shaped target, and a mixed scene.
     Their geometries are illustrative presets, not measured objects.
     """
-    if name not in PRESET_NAMES:
-        raise SceneError(f"unknown preset scene {name!r}; known: {list(PRESET_NAMES)}")
     e = complex(eps_r)
     if name == "austria":
         return austria_preset(e, scale=scale)
@@ -153,15 +151,16 @@ def builtin_scene(name: str, eps_r: complex = 2.0, scale: float = 1.0) -> Scene:
         verts = ((-w, -h), (w, -h), (w, h), (w - t, h), (w - t, -h + t),
                  (-w + t, -h + t), (-w + t, h), (-w, h))
         return Scene(shapes=(Shape(kind="polygon", eps_r=e, vertices=verts),))
-    # case4, mixed: annulus + bar + small disk
-    bar = ((-0.55 * scale, 0.45 * scale), (0.55 * scale, 0.45 * scale),
-           (0.55 * scale, 0.6 * scale), (-0.55 * scale, 0.6 * scale))
-    return Scene(shapes=(
-        Shape(kind="annulus", eps_r=e, center=(0.0, -0.15 * scale), r_inner=0.18 * scale,
-              r_outer=0.38 * scale),
-        Shape(kind="polygon", eps_r=1.0 + 0.5 * (e - 1.0), vertices=bar),
-        Shape(kind="disk", eps_r=e, center=(0.55 * scale, -0.45 * scale), radius=0.12 * scale),
-    ))
+    if name == "case4":  # mixed: annulus + bar + small disk
+        bar = ((-0.55 * scale, 0.45 * scale), (0.55 * scale, 0.45 * scale),
+               (0.55 * scale, 0.6 * scale), (-0.55 * scale, 0.6 * scale))
+        return Scene(shapes=(
+            Shape(kind="annulus", eps_r=e, center=(0.0, -0.15 * scale), r_inner=0.18 * scale,
+                  r_outer=0.38 * scale),
+            Shape(kind="polygon", eps_r=1.0 + 0.5 * (e - 1.0), vertices=bar),
+            Shape(kind="disk", eps_r=e, center=(0.55 * scale, -0.45 * scale), radius=0.12 * scale),
+        ))
+    raise SceneError(f"unknown preset scene {name!r}; known: {list(PRESET_NAMES)}")
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,11 @@ def test_nonfinite_step_leaves_weights_untouched(bad):
         adam_step(state, params, g)
     assert params.flat.tobytes() == before
     assert state.step == 1
+    # the moments took the bad value, so the state cannot step again
+    assert not np.isfinite(state.m[-1]) and not np.isfinite(state.v[-1])
+    with pytest.raises(FloatingPointError):
+        adam_step(state, params, rng.standard_normal(params.n_params()))
+    assert params.flat.tobytes() == before
 
 
 def test_adam_work_buffer_allocated_once():

@@ -5,8 +5,8 @@ import pytest
 from pdfisp.config import ImagingConfig
 from pdfisp.geometry import build_grid
 from pdfisp.reconstruct import count_components
-from pdfisp.scenes import (Scene, SceneError, Shape, austria_preset, builtin_scene,
-                           load_scene, rasterize, resolve_scene, save_scene,
+from pdfisp.scenes import (PRESET_NAMES, Scene, SceneError, Shape, austria_preset,
+                           builtin_scene, load_scene, rasterize, resolve_scene, save_scene,
                            scene_from_dict, scene_to_dict)
 
 
@@ -95,7 +95,7 @@ def test_preset_fits_domain():
     assert not chi[:, 0].any() and not chi[:, -1].any()
 
 
-@pytest.mark.parametrize("name", ["austria", "case1", "case2", "case3", "case4"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_builtin_scenes_rasterize(name):
     grid = build_grid(ImagingConfig(m1=32, m2=32, m_f=7))
     chi = rasterize(builtin_scene(name, 2.0), grid).values
