@@ -161,12 +161,14 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
 # Traces, metrics, manifests
 
 
-def write_trace(path, trace, update_norms) -> None:
-    """One CSV row per iteration: its loss terms, then the norm of the
-    optimizer step taken after it."""
-    rows = [(*bd.as_row(), u) for bd, u in zip(trace, update_norms, strict=True)]
+def write_trace(path, trace, grad_norms, update_norms) -> None:
+    """One CSV row per iteration: its loss terms, the norm of their gradient
+    over the network weights, then the norm of the optimizer step taken after
+    it."""
+    rows = [(*bd.as_row(), g, u)
+            for bd, g, u in zip(trace, grad_norms, update_norms, strict=True)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,state,data,bound,tv,bridge,total,update_norm\n")
+        fh.write("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm\n")
         for k, row in enumerate(rows):
             fh.write(f"{k}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 

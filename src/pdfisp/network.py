@@ -10,7 +10,7 @@ bias-corrected Adam with the corrections folded into two scalars, run in
 cache-sized blocks over preallocated memory (`adam_step`), whose step norm
 is the one finiteness check of an iteration.
 
-Widths are [2*m0, 4*m0, 4*m0, 2*m0] with tanh hidden activations; the two
+Widths are [2*m0, 2*m0, 2*m0, 2*m0] with tanh hidden activations; the two
 halves of the input/output are the real and imaginary coefficient parts.
 Two scalings keep the optimization well conditioned independently of m0
 and of the coefficient dynamic range (the DC mode is orders of magnitude
@@ -26,8 +26,7 @@ larger than the high modes):
   output coordinate would move by O(learn_rate * width); with it the move
   is O(learn_rate * sqrt(width)) times OUTPUT_GAIN. That is still not
   small: on the default austria eps 2 scene the second step moves the
-  coefficients by 0.74 * ||alpha0|| (1.7 * ||alpha0|| before the loss
-  took the modified contrast on its physical branch, see cie).
+  coefficients by 0.53 * ||alpha0||.
 
 Both factors are deterministic functions of the (fixed) initial
 coefficients, so they are recomputed per call and carry no state.
@@ -94,7 +93,7 @@ def init_network(m0: int, rng: np.random.Generator) -> NetworkParams:
     """
     if m0 < 1:
         raise ValueError("m0 must be >= 1")
-    widths = [2 * m0, 4 * m0, 4 * m0, 2 * m0]
+    widths = [2 * m0] * 4
     weights, biases = [], []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
@@ -254,7 +253,8 @@ class AdamState:
 
     adam_step updates the moments and the step count in place, forms each
     step in the preallocated `work` buffer and records the step's 2-norm in
-    `update_norm` (nan before the first step).
+    `update_norm`, and the norm of the gradient it was given in `grad_norm`
+    (both nan before the first step).
     """
 
     m: np.ndarray
@@ -262,6 +262,7 @@ class AdamState:
     step: int = 0
     lr: float = 1e-2
     update_norm: float = field(init=False, default=float("nan"))
+    grad_norm: float = field(init=False, default=float("nan"))
     work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -282,10 +283,11 @@ def adam_step(state: AdamState, params: NetworkParams,
     and b = eps*sqrt(c2), and the step runs over ADAM_BLOCK elements at a
     time, so every pass but the final subtraction works on data in cache.
     The step is formed in `state.work` and its squared norm summed on the
-    way; that sum is the step's one finiteness check. A nonfinite gradient
-    or step raises FloatingPointError before any weight moves. The moments
-    are already updated by then, so after a nonfinite gradient they hold
-    nonfinite entries and every later step with this state raises too.
+    way, as is the gradient's while its block is in cache; the step's sum is
+    its one finiteness check. A nonfinite gradient or step raises
+    FloatingPointError before any weight moves. The moments are already
+    updated by then, so after a nonfinite gradient they hold nonfinite
+    entries and every later step with this state raises too.
     """
     if grad.shape != params.flat.shape:
         raise ValueError("gradient length does not match parameter count")
@@ -293,11 +295,12 @@ def adam_step(state: AdamState, params: NetworkParams,
     root_c2 = np.sqrt(1.0 - ADAM_B2 ** t)
     a = state.lr * root_c2 / (1.0 - ADAM_B1 ** t)
     b = ADAM_EPS * root_c2
-    norm2 = 0.0
+    norm2 = g_norm2 = 0.0
     with np.errstate(invalid="ignore"):       # inf/inf: reported by the check below
         for lo in range(0, grad.size, ADAM_BLOCK):
             blk = slice(lo, lo + ADAM_BLOCK)
             g, m, v, w = grad[blk], state.m[blk], state.v[blk], state.work[blk]
+            g_norm2 += float(np.dot(g, g))
             m *= ADAM_B1
             np.multiply(g, 1.0 - ADAM_B1, out=w)
             m += w
@@ -315,4 +318,5 @@ def adam_step(state: AdamState, params: NetworkParams,
     params.flat -= state.work
     state.step = t
     state.update_norm = float(np.sqrt(norm2))
+    state.grad_norm = float(np.sqrt(g_norm2))
     return params, state

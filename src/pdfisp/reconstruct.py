@@ -37,6 +37,7 @@ class ReconstructionResult:
     trace: list[LossBreakdown]    # one entry per iteration
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
+    grad_norms: list[float]       # loss gradient 2-norm per iteration
     update_norms: list[float]     # Adam step 2-norm per iteration
     rel_error: float | None = None
 
@@ -255,11 +256,13 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     ctx = problem.loss_context(data, r_fixed=r0 if config.freeze_r else None)
 
     trace: list[LossBreakdown] = []
+    grad_norms: list[float] = []
     update_norms: list[float] = []
     for _ in range(config.k_iters):
         g, bd = grad_loss(net, alpha0, ctx)
         trace.append(bd)
         net, adam = adam_step(adam, net, g)
+        grad_norms.append(adam.grad_norm)
         update_norms.append(adam.update_norm)
 
     alpha_hat = alpha0 + forward_net(net, alpha0)
@@ -276,7 +279,8 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
                                 final_loss=final_bd, wall_time=wall,
-                                update_norms=update_norms, rel_error=rel)
+                                grad_norms=grad_norms, update_norms=update_norms,
+                                rel_error=rel)
 
 
 # ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ def _points_in_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Scene:
     """Shapes in paint order; each needs a known kind, that kind's fields and
-    Re{eps_r} >= 1 (a physical dielectric)."""
+    a finite eps_r with Re{eps_r} >= 1 (a physical dielectric)."""
 
     shapes: tuple[Shape, ...] = field(default_factory=tuple)
 
@@ -85,9 +85,10 @@ class Scene:
             missing = [n for n in KIND_FIELDS[s.kind] if getattr(s, n) is None]
             if missing:
                 raise SceneError(f"Scene.shapes[{i}] ({s.kind}): missing {', '.join(missing)}")
-            if complex(s.eps_r).real < 1.0:
-                raise SceneError(f"Scene.shapes[{i}]: needs Re{{eps_r}} >= 1 (physical "
-                                 f"dielectric), got {s.eps_r}")
+            eps = complex(s.eps_r)
+            if not (np.isfinite(eps) and eps.real >= 1.0):
+                raise SceneError(f"Scene.shapes[{i}]: needs a finite eps_r with Re{{eps_r}} "
+                                 f">= 1 (physical dielectric), got {s.eps_r}")
 
 
 def rasterize(scene: Scene, grid: GridGeometry) -> ComplexGrid:

@@ -55,10 +55,13 @@ def truncate(basis: SpectralBasis, j_view: np.ndarray) -> np.ndarray:
     j_view = np.asarray(j_view)
     if j_view.shape[-2:] != (basis.m1, basis.m2):
         raise ValueError(f"expected trailing dims ({basis.m1}, {basis.m2})")
-    blocks = np.conj(basis.row_factor.T) @ j_view @ np.conj(basis.col_factor)
-    blocks *= basis.m1 * basis.m2
     f = basis.m_f
-    lead = blocks.shape[:-2]
+    lead = j_view.shape[:-2]
+    # the column factor acts on all rows of all images as one flat GEMM
+    cols = (j_view.reshape(-1, basis.m2) @ np.conj(basis.col_factor)).reshape(
+        lead + (basis.m1, 2 * f))
+    blocks = np.conj(basis.row_factor.T) @ cols
+    blocks *= basis.m1 * basis.m2
     return blocks.reshape(lead + (2, f, 2, f)).swapaxes(-3, -2).reshape(lead + (basis.m0,))
 
 
@@ -74,7 +77,9 @@ def expand(basis: SpectralBasis, alpha: np.ndarray) -> np.ndarray:
     f = basis.m_f
     lead = alpha.shape[:-1]
     blocks = alpha.reshape(lead + (2, 2, f, f)).swapaxes(-3, -2).reshape(lead + (2 * f, 2 * f))
-    return basis.row_factor @ blocks @ basis.col_factor.T
+    rows = (basis.row_factor @ blocks).reshape(-1, 2 * f)
+    # the column factor acts on all rows of all images as one flat GEMM
+    return (rows @ basis.col_factor.T).reshape(lead + (basis.m1, basis.m2))
 
 
 def truncate_adjoint_scale(basis: SpectralBasis) -> float:

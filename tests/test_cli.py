@@ -105,6 +105,7 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
     "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
     "scene eps_r text": ([*SIM, "austria:abc"], "eps_r 'abc'"),
+    "scene eps_r nan": ([*SIM, "austria:nan"], "Scene.shapes[0]: needs a finite eps_r"),
     "scene scale text": ([*SIM, "austria:2:x"], "scale 'x'"),
     "scene extra part": ([*SIM, "austria:2:1:5"], "expected name:eps_r[:scale]"),
     "spec ablation": (["study", "--spec", "{d}/ablation.json"], "StudySpec.ablations"),
@@ -209,9 +210,9 @@ def test_reconstruct_outputs(recon_dir):
 
 def test_trace_has_finite_update_norms(recon_dir):
     lines = (recon_dir / "trace.csv").read_text().splitlines()
-    assert lines[0].split(",")[-1] == "update_norm"
-    norms = np.array([float(line.split(",")[-1]) for line in lines[1:]])
-    assert norms.shape == (2,) and np.isfinite(norms).all() and (norms > 0).all()
+    assert lines[0].split(",")[-2:] == ["grad_norm", "update_norm"]
+    norms = np.array([[float(v) for v in line.split(",")[-2:]] for line in lines[1:]])
+    assert norms.shape == (2, 2) and np.isfinite(norms).all() and (norms > 0).all()
 
 
 # ----------------------------------------------------------------------

@@ -149,12 +149,14 @@ def test_trace_csv_format(tmp_path):
     trace = [LossBreakdown(state=1.0, data=2.0, bound=0.5, tv=0.25,
                            bridge=0.125, total=3.875)]
     path = tmp_path / "t.csv"
-    write_trace(path, trace, update_norms=[0.0625])
+    write_trace(path, trace, grad_norms=[0.75], update_norms=[0.0625])
     lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,state,data,bound,tv,bridge,total,update_norm"
-    assert lines[1] == "0,1,2,0.5,0.25,0.125,3.875,0.0625"
+    assert lines[0] == "iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm"
+    assert lines[1] == "0,1,2,0.5,0.25,0.125,3.875,0.75,0.0625"
     with pytest.raises(ValueError):
-        write_trace(path, trace, update_norms=[])
+        write_trace(path, trace, grad_norms=[0.75], update_norms=[])
+    with pytest.raises(ValueError):
+        write_trace(path, trace, grad_norms=[], update_norms=[0.0625])
 
 
 def test_sha256_matches_hashlib(tmp_path):

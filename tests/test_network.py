@@ -143,10 +143,11 @@ def test_adam_state_shapes():
 
 
 def test_adam_matches_reference_across_blocks():
-    """131 712 parameters: four full blocks and a 640-element tail."""
+    """120 600 parameters: three full blocks and a 22 296-element tail."""
     rng = np.random.default_rng(11)
-    params = init_network(64, rng)
-    assert params.n_params() % network.ADAM_BLOCK == 640
+    params = init_network(100, rng)
+    assert params.n_params() // network.ADAM_BLOCK == 3
+    assert params.n_params() % network.ADAM_BLOCK == 22296
     state = AdamState.for_params(params, lr=1e-2)
     flat0 = flatten_params(params)
     grads = [rng.standard_normal(flat0.size) for _ in range(5)]
@@ -156,6 +157,7 @@ def test_adam_matches_reference_across_blocks():
     want = oracles.adam_sequence(flat0, grads, lr=1e-2)
     assert np.abs(params.flat - want).max() < 1e-14
     assert state.update_norm == pytest.approx(np.linalg.norm(params.flat - before), rel=1e-12)
+    assert state.grad_norm == pytest.approx(np.linalg.norm(grads[-1]), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -62,6 +62,12 @@ def test_nonphysical_permittivity_rejected():
         Scene(shapes=(Shape(kind="disk", eps_r=0.5, center=(0, 0), radius=0.1),))
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "2+nanj"])
+def test_nonfinite_permittivity_rejected(eps):
+    with pytest.raises(SceneError, match=r"Scene\.shapes\[0\]: needs a finite eps_r"):
+        resolve_scene(f"austria:{eps}")
+
+
 def test_unknown_kind_rejected():
     shape = Shape(kind="blob", eps_r=2.0)
     with pytest.raises(SceneError):
