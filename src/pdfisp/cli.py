@@ -88,7 +88,8 @@ def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult
     if vmax is None:
         vmax = float(max(1.5, eps.max()))
     fileio.render_pgm(eps, vmin, vmax, paths["eps_pgm"])
-    fileio.write_trace(paths["trace"], result.trace, result.grad_norms, result.update_norms)
+    fileio.write_trace(paths["trace"], result.trace, result.grad_norms, result.update_norms,
+                       result.clamped_counts, result.degenerate_counts)
     metrics = {
         "final_loss": {"state": result.final_loss.state, "data": result.final_loss.data,
                        "bound": result.final_loss.bound, "tv": result.final_loss.tv,

@@ -161,16 +161,19 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
 # Traces, metrics, manifests
 
 
-def write_trace(path, trace, grad_norms, update_norms) -> None:
+def write_trace(path, trace, grad_norms, update_norms, clamped_counts,
+                degenerate_counts) -> None:
     """One CSV row per iteration: its loss terms, the norm of their gradient
-    over the network weights, then the norm of the optimizer step taken after
-    it."""
-    rows = [(*bd.as_row(), g, u)
-            for bd, g, u in zip(trace, grad_norms, update_norms, strict=True)]
+    over the network weights, the norm of the optimizer step taken after it,
+    then the pixel counts of its least-squares contrast: on the clamped branch
+    (Re chi < 0) and degenerate (`cie.ContrastRecovery.degenerate`)."""
+    rows = zip(trace, grad_norms, update_norms, clamped_counts, degenerate_counts, strict=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm\n")
-        for k, row in enumerate(rows):
-            fh.write(f"{k}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm,"
+                 "n_clamped,n_degenerate\n")
+        for k, (bd, g, u, c, d) in enumerate(rows):
+            fh.write(f"{k}," + ",".join(f"{v:.17g}" for v in (*bd.as_row(), g, u))
+                     + f",{c:d},{d:d}\n")
 
 
 def sha256_file(path) -> str:

@@ -17,25 +17,30 @@ intermediate iterates recover negative contrast, and the unclamped map has
 a pole at chi = -1/beta. The bridge term judges flatness against the
 resolution of the spectral basis, see `bridge_term`.
 
-The state and data residuals are computed only in `LossContext.residuals`,
-and their coefficient gradient at fixed R only in `LossContext.residual_grad`.
-Each penalty is one function returning its value and its contrast
-gradient together (`bound_term`, `tv_term`, `bridge_term`).
-`pipeline_forward` adds the least-squares contrast, the physical-branch map
-and the penalties, keeping the intermediates the hand-derived reverse pass
-`pipeline_backward` needs, the weighted penalty gradient among them; the
-frozen-contrast objective (`reconstruct.CsiObjective`) uses the residual
-functions alone.
+The state term is never formed as a residual array. Per pixel, with
+b = beta*(R - 1), it is sum_n |R*E_n + b*J_n|^2 = |R|^2 Pee + |b|^2 Pjj
++ 2 Re(conj(R) b Pej), with the view sums Pee, Pjj and Pej of
+`cie.view_sums` (the per-pixel least squares forms them anyway). So
+`LossContext.term_values` needs only those sums and the (n, n_rx) data
+residual, and the gradient at fixed R pulls back through one Hermitian
+2x2 map per pixel (`LossContext.residual_grad`). Each penalty is one
+function returning its value and its contrast gradient together
+(`bound_term`, `tv_term`, `bridge_term`). `pipeline_forward` adds the
+least-squares contrast, the physical-branch map and the penalties, keeping
+the intermediates the hand-derived reverse pass `pipeline_backward` needs,
+the weighted penalty gradient among them; the frozen-contrast objective
+(`reconstruct.CsiObjective`) uses the same functions without the
+least-squares contrast.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .cie import ContrastRecovery, chi_to_r, physical_branch, pixel_least_squares
+from .cie import (ContrastRecovery, ViewSums, chi_to_r, physical_branch,
+                  pixel_least_squares)
 from .forward import ScatteredData
 from .spectral import SpectralBasis, SpectralOperators, expand
 
@@ -59,13 +64,6 @@ class LossBreakdown:
 
     def as_row(self) -> tuple[float, ...]:
         return (self.state, self.data, self.bound, self.tv, self.bridge, self.total)
-
-
-class Residuals(NamedTuple):
-    """State and data residuals at one set of coefficients, per view."""
-
-    state: np.ndarray    # (n, m1, m2) R*(E + beta*J) - beta*J
-    data: np.ndarray     # (n, n_rx) mask * (G_S J - d)
 
 
 @dataclass
@@ -113,51 +111,63 @@ class LossContext:
 
         With homogeneous=True, E is the scattered part alpha K alone.
         """
-        j = expand(self.basis, alpha)
         e = self.maps.scattered_field(alpha)
-        return j, (e if homogeneous else self.e_inc + e)
+        if not homogeneous:
+            e += self.e_inc
+        return expand(self.basis, alpha), e
 
-    def residuals(self, alpha: np.ndarray, r_hat: np.ndarray,
-                  fields: tuple[np.ndarray, np.ndarray] | None = None,
-                  homogeneous: bool = False) -> Residuals:
-        """Contraction-form state residual and masked data residual.
+    def data_residual(self, alpha: np.ndarray, homogeneous: bool = False) -> np.ndarray:
+        """Masked data residual G_S J - d, shape (n, n_rx).
 
-        The rewritten state equation asks R*(E + beta*J) = beta*J, so the
-        state residual R*E + beta*(R - 1)*J vanishes exactly when J and R
-        are mutually consistent; the data residual is G_S J - d on the
-        measured entries. (J, E) come from `fields` unless the caller
-        already has them. homogeneous=True drops E_inc and d, leaving the
-        linear part of the map.
+        homogeneous=True drops d, leaving the linear part of the map.
         """
-        j, e = self.fields(alpha, homogeneous) if fields is None else fields
-        state = r_hat * e + (self.beta * (r_hat - 1.0)) * j
         rows = self.maps.measure(alpha)
         if not homogeneous:
             rows = rows - self.data.matrix
-        return Residuals(state=state, data=self._masked(rows))
+        return self._masked(rows)
 
-    def term_values(self, res: Residuals) -> tuple[float, float]:
-        """Normalized (state, data) loss terms of the residuals."""
-        return _power(res.state) / self.c_inc, _power(res.data) / self.c_sca
+    def term_values(self, r_hat: np.ndarray, sums: ViewSums,
+                    data_res: np.ndarray) -> tuple[float, float]:
+        """Normalized (state, data) loss terms.
 
-    def residual_grad(self, r_hat: np.ndarray, res: Residuals,
-                      g_j: np.ndarray | None = None,
-                      g_e: np.ndarray | None = None) -> np.ndarray:
+        The rewritten state equation asks R*(E + beta*J) = beta*J, so the
+        state residual R*E_n + b*J_n, b = beta*(R - 1), vanishes exactly
+        when J and R are mutually consistent. Its power over views is a
+        quadratic form in the view sums of (J, E), see the module docstring.
+        """
+        b = self.beta * (r_hat - 1.0)
+        state = (_abs2(r_hat) * sums.pee + _abs2(b) * sums.pjj
+                 + 2.0 * (np.conj(r_hat) * b * sums.pej).real)
+        return float(state.sum()) / self.c_inc, _power(data_res) / self.c_sca
+
+    def residual_grad(self, r_hat: np.ndarray, fields: tuple[np.ndarray, np.ndarray],
+                      data_res: np.ndarray, g_num: np.ndarray | None = None,
+                      g_den: np.ndarray | None = None) -> np.ndarray:
         """Gradient of state + data terms with respect to the coefficients, R fixed.
 
-        g_j and g_e are gradients that reach J and E by other paths (the
-        least-squares contrast); they are pulled back together with the
-        residuals' own. Shape (n, m0).
+        The state term pulls back to the fields (J, E) as one Hermitian map
+        per pixel, g_E = p E + q J and g_J = conj(q) E + v J, with
+        p = c|R|^2, q = c conj(R) b and v = c|b|^2 (c = 2/c_inc). g_num and
+        g_den are gradients that reach the least-squares numerator
+        sum J conj(E) and denominator sum |E|^2 by other paths; they enter
+        the same map, as q += conj(g_num) and p += 2 g_den. Shape (n, m0).
         """
+        j, e = fields
         scale = 2.0 / self.c_inc
-        all_j = (scale * self.beta * (np.conj(r_hat) - 1.0)) * res.state
-        all_e = (scale * np.conj(r_hat)) * res.state
-        if g_j is not None:
-            all_j += g_j
-        if g_e is not None:
-            all_e += g_e
-        g_rows = self._masked((2.0 / self.c_sca) * res.data)
-        return self.maps.coefficient_grad(g_j=all_j, g_e=all_e, g_rows=g_rows)
+        b = self.beta * (r_hat - 1.0)
+        p = scale * _abs2(r_hat)
+        q = scale * np.conj(r_hat) * b
+        if g_num is not None:
+            p = p + 2.0 * g_den
+            q = q + np.conj(g_num)
+        g_e = p * e + q * j
+        g_j = np.conj(q) * e + (scale * _abs2(b)) * j
+        g_rows = self._masked((2.0 / self.c_sca) * data_res)
+        return self.maps.coefficient_grad(g_j=g_j, g_e=g_e, g_rows=g_rows)
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real * x.real + x.imag * x.imag
 
 
 def _power(x: np.ndarray) -> float:
@@ -241,7 +251,7 @@ class PipelineState:
 
     rec: ContrastRecovery
     r_hat: np.ndarray          # (m1, m2)
-    res: Residuals
+    data_res: np.ndarray       # (n, n_rx) masked data residual
     breakdown: LossBreakdown
     penalty_grad: np.ndarray   # (m1, m2) weighted penalty gradient w.r.t. chi
 
@@ -256,8 +266,8 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
         r_hat = ctx.r_fixed
     else:
         r_hat = chi_to_r(physical_branch(chi), ctx.beta)
-    res = ctx.residuals(alpha_hat, r_hat, fields=(j, e))
-    l_state, l_data = ctx.term_values(res)
+    data_res = ctx.data_residual(alpha_hat)
+    l_state, l_data = ctx.term_values(r_hat, rec.sums, data_res)
 
     l_bound, g_bound = bound_term(chi)
     l_tv, g_tv = tv_term(chi)
@@ -275,7 +285,7 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
         raise FloatingPointError(f"nonfinite loss term(s): {bad}")
     bd = LossBreakdown(total=total, state=l_state, data=l_data, bound=l_bound,
                        tv=l_tv, bridge=l_bridge)
-    return PipelineState(rec=rec, r_hat=r_hat, res=res, breakdown=bd,
+    return PipelineState(rec=rec, r_hat=r_hat, data_res=data_res, breakdown=bd,
                          penalty_grad=penalty_grad)
 
 
@@ -298,24 +308,25 @@ def loss_total(alpha: np.ndarray, ctx: LossContext) -> LossBreakdown:
 
 def pipeline_backward(state: PipelineState, ctx: LossContext) -> np.ndarray:
     """Gradient of the composite loss with respect to alpha_hat, shape (n, m0)."""
-    j = state.rec.j_views
-    e = state.rec.e_views
-    chi = state.rec.chi
-    den = state.rec.denominator
+    rec, r_hat, beta = state.rec, state.r_hat, ctx.beta
+    chi = rec.chi
 
     # contrast chain: the weighted penalty gradient kept by the forward pass
     # plus (unless frozen) the modified-contrast map on the physical branch,
-    # whose clamp passes no real-part gradient; the state residual
-    # R*(E + beta*J) - beta*J gives dL/dR = sum_views conj(E + beta*J) * 2 res / c_inc
+    # whose clamp passes no real-part gradient; from the view-sum form of the
+    # state term, dL/dR = (2/c_inc) [R (Pee + 2 beta Re Pej + beta^2 Pjj)
+    # - beta (Pej + beta Pjj)]
     g_chi = state.penalty_grad
     if ctx.r_fixed is None:
-        res = state.res.state
-        g_r = (2.0 / ctx.c_inc) * np.einsum("nij,nij->ij", np.conj(e + ctx.beta * j), res)
-        g_phys = np.conj(ctx.beta / (ctx.beta * physical_branch(chi) + 1.0) ** 2) * g_r
+        s = rec.sums
+        g_r = (2.0 / ctx.c_inc) * (
+            r_hat * (s.pee + 2.0 * beta * s.pej.real + beta * beta * s.pjj)
+            - beta * (s.pej + beta * s.pjj))
+        g_phys = np.conj(beta / (beta * physical_branch(chi) + 1.0) ** 2) * g_r
         g_chi = g_chi + np.where(chi.real > 0.0, g_phys, 1j * g_phys.imag)
 
     # chi = num/den with num = sum_i J_i conj(E_i), den real
-    g_num = g_chi / den
-    g_den = -(np.conj(g_chi) * chi).real / den
-    return ctx.residual_grad(state.r_hat, state.res, g_j=e * g_num,
-                             g_e=np.conj(g_num) * j + 2.0 * g_den * e)
+    g_num = g_chi / rec.denominator
+    g_den = -(np.conj(g_chi) * chi).real / rec.denominator
+    return ctx.residual_grad(r_hat, (rec.j_views, rec.e_views), state.data_res,
+                             g_num=g_num, g_den=g_den)

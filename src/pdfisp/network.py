@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossBreakdown, LossContext, pipeline_backward, pipeline_forward
+from .losses import LossContext, PipelineState, pipeline_backward, pipeline_forward
 
 
 @dataclass
@@ -202,12 +202,13 @@ def unflatten_params(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
 
 
 def grad_loss(params: NetworkParams, alpha0: np.ndarray,
-              ctx: LossContext) -> tuple[np.ndarray, LossBreakdown]:
+              ctx: LossContext) -> tuple[np.ndarray, PipelineState]:
     """Exact reverse-mode gradient over the flattened parameters.
 
     Runs the network forward, evaluates the composite loss at
     alpha0 + delta-alpha, pulls the loss gradient back to the network output
-    (real/imaginary channels), then through the affine-tanh stack. A
+    (real/imaginary channels), then through the affine-tanh stack. Returns
+    the gradient and the `losses.PipelineState` of the evaluation. A
     nonfinite loss raises in `pipeline_forward`; the gradient itself is
     checked by `adam_step`, before any weight moves.
     """
@@ -233,7 +234,7 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
     gz1 = gh1 * (1.0 - h1 * h1)
     np.matmul(gz1.T, x0, out=gw1)
     np.sum(gz1, axis=0, out=gb1)
-    return flat, state.breakdown
+    return flat, state
 
 
 # ----------------------------------------------------------------------

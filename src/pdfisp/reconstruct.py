@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import ndimage
 
-from .cie import chi_to_r, pixel_least_squares
+from .cie import chi_to_r, pixel_least_squares, view_sums
 from .config import ImagingConfig
 from .filters import apply_cco
 from .forward import (FieldSet, GreensOperators, ScatteredData, apply_gd,
@@ -39,6 +39,8 @@ class ReconstructionResult:
     wall_time: float
     grad_norms: list[float]       # loss gradient 2-norm per iteration
     update_norms: list[float]     # Adam step 2-norm per iteration
+    clamped_counts: list[int]     # pixels with Re chi < 0 (clamped branch) per iteration
+    degenerate_counts: list[int]  # degenerate least-squares pixels per iteration
     rel_error: float | None = None
 
     @property
@@ -133,10 +135,11 @@ class CsiObjective:
 
     Shared by the spectral initializer (one exact step from zero) and the
     plain-descent reference solver. It is the loss context with
-    r_fixed=r0 and no regularizers, evaluated through the residual
-    functions alone (no least-squares contrast), plus the curvature of the
-    quadratic for the exact line search. Takes the main loop's precomputed
-    maps when given, and builds them from (ops, basis) otherwise.
+    r_fixed=r0 and no regularizers, evaluated through the view sums and the
+    context's term and gradient functions, as the main loop is, but without
+    the least-squares contrast; plus the curvature of the quadratic for the
+    exact line search. Takes the main loop's precomputed maps when given,
+    and builds them from (ops, basis) otherwise.
     """
 
     r0: np.ndarray
@@ -155,17 +158,22 @@ class CsiObjective:
         self.ctx = LossContext(data=self.data, e_inc=self.e_inc, maps=maps, beta=self.beta,
                                lambdas=(0.0, 0.0, 0.0), tau_b=1.0, r_fixed=self.r0)
 
-    def value_parts(self, alpha: np.ndarray) -> tuple[float, float]:
-        """Normalized (state, data) terms at coefficients alpha."""
-        return self.ctx.term_values(self.ctx.residuals(alpha, self.r0))
+    def value_parts(self, alpha: np.ndarray, homogeneous: bool = False) -> tuple[float, float]:
+        """Normalized (state, data) terms at coefficients alpha.
+
+        homogeneous=True drops E_inc and d, leaving the linear part of the map.
+        """
+        fields = self.ctx.fields(alpha, homogeneous)
+        return self.ctx.term_values(self.r0, view_sums(*fields),
+                                    self.ctx.data_residual(alpha, homogeneous))
 
     def grad(self, alpha: np.ndarray) -> np.ndarray:
-        return self.ctx.residual_grad(self.r0, self.ctx.residuals(alpha, self.r0))
+        return self.ctx.residual_grad(self.r0, self.ctx.fields(alpha),
+                                      self.ctx.data_residual(alpha))
 
     def curvature(self, direction: np.ndarray) -> float:
         """Q(d) = ||A d||^2 in the normalized residual metric (homogeneous part)."""
-        return sum(self.ctx.term_values(
-            self.ctx.residuals(direction, self.r0, homogeneous=True)))
+        return sum(self.value_parts(direction, homogeneous=True))
 
     def exact_step(self, grad: np.ndarray) -> float:
         """Minimizer of the objective along -grad (valid at any iterate)."""
@@ -258,9 +266,13 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     trace: list[LossBreakdown] = []
     grad_norms: list[float] = []
     update_norms: list[float] = []
+    clamped_counts: list[int] = []
+    degenerate_counts: list[int] = []
     for _ in range(config.k_iters):
-        g, bd = grad_loss(net, alpha0, ctx)
-        trace.append(bd)
+        g, state = grad_loss(net, alpha0, ctx)
+        trace.append(state.breakdown)
+        clamped_counts.append(int(np.count_nonzero(state.rec.chi.real < 0.0)))
+        degenerate_counts.append(int(np.count_nonzero(state.rec.degenerate)))
         net, adam = adam_step(adam, net, g)
         grad_norms.append(adam.grad_norm)
         update_norms.append(adam.update_norm)
@@ -280,7 +292,8 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
                                 final_loss=final_bd, wall_time=wall,
                                 grad_norms=grad_norms, update_norms=update_norms,
-                                rel_error=rel)
+                                clamped_counts=clamped_counts,
+                                degenerate_counts=degenerate_counts, rel_error=rel)
 
 
 # ----------------------------------------------------------------------

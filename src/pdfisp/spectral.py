@@ -136,11 +136,12 @@ class SpectralOperators:
         """Pull gradients on J, on G_D J and on G_S J back to the coefficients.
 
         Returns B^H g_j + K^H g_e + S^H g_rows in row form, shape (n, m0).
-        B^H g_j is truncate(g_j) / (m1*m2), see `truncate_adjoint_scale`;
-        for the dense maps, conjugating the (n, .) gradients is cheaper than
-        the (m0, .) maps.
+        B^H g_j is truncate(g_j) / (m1*m2), see `truncate_adjoint_scale`.
+        For the dense maps, conjugating the (n, .) gradients is cheaper than
+        the (m0, .) maps; the K product runs as K @ conj(g_e)^T, which keeps
+        K as the row-major left operand and is faster than conj(g_e) @ K^T.
         """
         n = g_rows.shape[0]
-        acc = np.conj(g_e.reshape(n, -1)) @ self.fields.T
+        acc = (self.fields @ np.conj(g_e).reshape(n, -1).T).T
         acc += np.conj(g_rows) @ self.receivers.T
         return np.conj(acc) + truncate_adjoint_scale(self.basis) * truncate(self.basis, g_j)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: direct summation, dense matrices,
 scipy special functions. Slow but transparently correct, so the optimized
 in-package code can be validated against it. Nothing in this module imports
-from pdfisp.
+from pdfisp, except `truncated_truth_coefficients`: a yardstick built on the
+package's own forward solve, not a cross-check.
 """
 import numpy as np
 from scipy import special as sp
@@ -144,22 +145,55 @@ def dense_measurement_greens(k0: float, centers: np.ndarray, cell_size: float,
     return 0.5j * np.pi * k0 * a * sp.jv(1, k0 * a) * sp.hankel1(0, k0 * rho)
 
 
-def loss_residual_terms(j: np.ndarray, e_inc: np.ndarray, gd: np.ndarray,
-                        gs: np.ndarray, r_hat: np.ndarray, beta: float,
-                        d: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """Normalized state and data terms of the physics loss, by dense products.
+def state_residuals(j: np.ndarray, e_inc: np.ndarray, gd: np.ndarray,
+                    r_hat: np.ndarray, beta: float) -> np.ndarray:
+    """Per-view contraction-form state residuals R*(E + beta*J) - beta*J.
 
     Rows of j and e_inc are per-view current and incident-field vectors
-    (cells in row-major order), gd / gs the dense domain / receiver
-    operators. The state term is ||R*(E + beta*J) - beta*J||^2 / ||E_inc||^2
-    with E = E_inc + G_D J, summed over views; the data term is
-    ||mask*(G_S J - d)||^2 / ||mask*d||^2.
+    (cells in row-major order), gd the dense domain operator, and
+    E = E_inc + G_D J.
     """
     e = e_inc + j @ gd.T
-    state = r_hat * (e + beta * j) - beta * j
-    data = mask * (j @ gs.T - d)
+    return r_hat * (e + beta * j) - beta * j
+
+
+def loss_residual_terms(j: np.ndarray, e_inc: np.ndarray, gd: np.ndarray,
+                        gs: np.ndarray, r_hat: np.ndarray, beta: float,
+                        d: np.ndarray, mask: np.ndarray,
+                        homogeneous: bool = False) -> tuple[float, float]:
+    """Normalized state and data terms of the physics loss, by dense products.
+
+    gs is the dense receiver operator, the rest as in `state_residuals`.
+    The state term is ||state_residuals||^2 / ||E_inc||^2, summed over
+    views; the data term is ||mask*(G_S J - d)||^2 / ||mask*d||^2.
+    homogeneous=True drops E_inc and d from the residuals (not from the
+    normalizers), leaving the linear part of the map.
+    """
+    keep = 0.0 if homogeneous else 1.0
+    state = state_residuals(j, keep * e_inc, gd, r_hat, beta)
+    data = mask * (j @ gs.T - keep * d)
     return (float(np.sum(np.abs(state) ** 2) / np.sum(np.abs(e_inc) ** 2)),
             float(np.sum(np.abs(data) ** 2) / np.sum(np.abs(mask * d) ** 2)))
+
+
+def truncated_truth_coefficients(config, scene) -> np.ndarray:
+    """Corner-block coefficients of the true currents chi_true * E, per view.
+
+    E is the total field of `scene` from the package's forward solve on the
+    inversion grid of `config`; the coefficients are the m_f corner blocks
+    of each current's direct DFT, in coefficient order. A probe of the loss:
+    it reads chi_true, so it may only report, never steer a solve.
+    """
+    from pdfisp.forward import solve_total_field
+    from pdfisp.reconstruct import Problem
+    from pdfisp.scenes import rasterize
+
+    problem = Problem.build(config)
+    chi = rasterize(scene, problem.grid)
+    e_tot = solve_total_field(chi, problem.e_inc, problem.ops, tol=config.solver_tol,
+                              maxiter=config.solver_maxiter)
+    rows, cols = corner_indices(config.m1, config.m2, config.m_f)
+    return np.stack([dft2_direct(chi.values * e)[rows, cols] for e in e_tot.views])
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from pdfisp.cie import (PoleError, chi_to_r, default_eps_reg, pixel_least_squares,
                         r_to_chi)
 from pdfisp.forward import ScatteredData, apply_gd, solve_total_field
@@ -65,19 +66,26 @@ def test_default_regularizer_formula():
 
 def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):
     """With one view, the recovered contrast satisfies J = chi*E exactly
-    (up to the floor), so the rewritten state equation must balance."""
+    (up to the floor), so the rewritten state equation must balance, in the
+    explicit residual and in the loss's view-sum state term."""
     setup = tiny_setup
     rng = np.random.default_rng(4)
     alpha = rng.standard_normal((1, setup.basis.m0)) + 1j * rng.standard_normal((1, setup.basis.m0))
     e_inc = setup.e_inc.views[:1]
     j = expand(setup.basis, alpha)
-    e = e_inc + apply_gd(setup.ops, j)
+    gd = oracles.dense_domain_greens(setup.config.wavenumber, setup.grid.centers,
+                                     setup.grid.cell_size)
+    e = e_inc + (j.reshape(1, -1) @ gd.T).reshape(j.shape)
     rec = pixel_least_squares(j, e)
     r_hat = chi_to_r(rec.chi, 6.0)
-    ctx = LossContext(data=ScatteredData(matrix=tiny_sim.data.matrix[:1]), e_inc=e_inc,
-                      maps=setup.maps, beta=6.0, lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
-    res = ctx.residuals(alpha, r_hat).state
+    res = oracles.state_residuals(j.reshape(1, -1), e_inc.reshape(1, -1), gd, r_hat.ravel(), 6.0)
     assert np.linalg.norm(res) / np.linalg.norm(j) < 1e-6
+
+    ctx = LossContext(data=ScatteredData(matrix=tiny_sim.data.matrix[:1]), e_inc=e_inc,
+                      maps=setup.maps, beta=6.0, lambdas=(0.0, 0.0, 0.0), tau_b=1.0,
+                      r_fixed=r_hat)
+    state = ctx.term_values(r_hat, rec.sums, ctx.data_residual(alpha))[0]
+    assert abs(state) * ctx.c_inc / np.linalg.norm(j) ** 2 < 1e-12
 
 
 def test_state_residual_zero_for_true_solution(tiny_setup, tiny_sim):

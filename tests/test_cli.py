@@ -210,9 +210,14 @@ def test_reconstruct_outputs(recon_dir):
 
 def test_trace_has_finite_update_norms(recon_dir):
     lines = (recon_dir / "trace.csv").read_text().splitlines()
-    assert lines[0].split(",")[-2:] == ["grad_norm", "update_norm"]
-    norms = np.array([[float(v) for v in line.split(",")[-2:]] for line in lines[1:]])
+    header = lines[0].split(",")
+    cols = [header.index(name) for name in ("grad_norm", "update_norm")]
+    rows = [line.split(",") for line in lines[1:]]
+    norms = np.array([[float(row[c]) for c in cols] for row in rows])
     assert norms.shape == (2, 2) and np.isfinite(norms).all() and (norms > 0).all()
+    counts = [int(row[header.index(name)]) for row in rows
+              for name in ("n_clamped", "n_degenerate")]
+    assert min(counts) >= 0 and max(counts) <= 16 * 16
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,22 @@ def test_bridge_gradient():
 # Normalized data / state terms
 
 
+def _dense_terms(setup, alpha, r_hat, data, homogeneous=False):
+    """`oracles.loss_residual_terms` at coefficients alpha: currents by direct
+    inverse DFT of the corner blocks, dense Green's operators."""
+    n, (m1, m2) = alpha.shape[0], (setup.basis.m1, setup.basis.m2)
+    spec = np.zeros((n, m1, m2), dtype=complex)
+    rows, cols = oracles.corner_indices(m1, m2, setup.basis.m_f)
+    spec[:, rows, cols] = alpha
+    j = np.stack([oracles.idft2_direct(s) for s in spec]).reshape(n, -1)
+    k0, centers, cs = setup.config.wavenumber, setup.grid.centers, setup.grid.cell_size
+    mask = np.ones(data.matrix.shape) if data.mask is None else data.mask
+    return oracles.loss_residual_terms(
+        j, setup.e_inc.views.reshape(n, -1), oracles.dense_domain_greens(k0, centers, cs),
+        oracles.dense_measurement_greens(k0, centers, cs, setup.array.rx_positions),
+        np.ravel(r_hat), setup.config.beta, data.matrix, mask, homogeneous=homogeneous)
+
+
 def test_data_term_with_mask(tiny_setup, tiny_sim):
     """State and data terms of the pipeline against dense matrices, with
     half the receivers unmeasured and garbage in their entries."""
@@ -116,24 +132,44 @@ def test_data_term_with_mask(tiny_setup, tiny_sim):
     n, m0 = setup.config.n_tx, setup.basis.m0
     mask = np.zeros(tiny_sim.data.matrix.shape)
     mask[:, ::2] = 1.0
-    mat = np.where(mask > 0, tiny_sim.data.matrix, 1e3)
+    data = ScatteredData(matrix=np.where(mask > 0, tiny_sim.data.matrix, 1e3), mask=mask)
     r_hat = 0.5 * (rng.uniform(size=(16, 16)) + 1j * rng.uniform(size=(16, 16)))
-    ctx = setup.loss_context(ScatteredData(matrix=mat, mask=mask), r_fixed=r_hat)
+    ctx = setup.loss_context(data, r_fixed=r_hat)
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
     bd = loss_total(alpha, ctx)
-
-    # currents by direct inverse DFT of the corner-block coefficients
-    spec = np.zeros((n, 16, 16), dtype=complex)
-    rows, cols = oracles.corner_indices(16, 16, setup.basis.m_f)
-    spec[:, rows, cols] = alpha
-    j = np.stack([oracles.idft2_direct(s) for s in spec]).reshape(n, -1)
-    k0, centers, cs = setup.config.wavenumber, setup.grid.centers, setup.grid.cell_size
-    state, data = oracles.loss_residual_terms(
-        j, setup.e_inc.views.reshape(n, -1), oracles.dense_domain_greens(k0, centers, cs),
-        oracles.dense_measurement_greens(k0, centers, cs, setup.array.rx_positions),
-        r_hat.ravel(), setup.config.beta, mat, mask)
+    state, data_term = _dense_terms(setup, alpha, r_hat, data)
     assert bd.state == pytest.approx(state, rel=1e-10)
-    assert bd.data == pytest.approx(data, rel=1e-10)
+    assert bd.data == pytest.approx(data_term, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["free", "pole", "frozen", "curvature"])
+def test_terms_match_dense_residuals(case, tiny_setup, tiny_sim, tiny_ctx, pole_alpha):
+    """The state term from per-pixel view sums and the data term equal the
+    powers of the explicit dense residuals: with R from the iterate, past the
+    pole (pixels on the clamped branch), with R frozen, and as the curvature
+    (homogeneous part) of the frozen-contrast objective."""
+    from pdfisp.reconstruct import CsiObjective, bp_initialize
+
+    setup = tiny_setup
+    rng = np.random.default_rng(9)
+    n, m0 = setup.config.n_tx, setup.basis.m0
+    alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
+    _, r0 = bp_initialize(tiny_sim.data, setup.e_inc, setup.ops, setup.config.beta)
+    if case == "curvature":
+        obj = CsiObjective(r0=r0, e_inc=setup.e_inc.views, data=tiny_sim.data, ops=setup.ops,
+                           basis=setup.basis, beta=setup.config.beta, maps=setup.maps)
+        want = _dense_terms(setup, alpha, r0, tiny_sim.data, homogeneous=True)
+        assert obj.curvature(alpha) == pytest.approx(sum(want), rel=1e-12)
+        return
+    if case == "pole":
+        alpha = pole_alpha
+    ctx = setup.loss_context(tiny_sim.data, r_fixed=r0) if case == "frozen" else tiny_ctx
+    state = pipeline_forward(alpha, ctx)
+    if case == "pole":
+        assert (state.rec.chi.real < 0.0).sum() >= 10
+    want = _dense_terms(setup, alpha, state.r_hat, tiny_sim.data)
+    assert state.breakdown.state == pytest.approx(want[0], rel=1e-12)
+    assert state.breakdown.data == pytest.approx(want[1], rel=1e-12)
 
 
 def test_zero_data_power_rejected(tiny_setup):
@@ -151,8 +187,9 @@ def test_view_count_mismatch_rejected(tiny_setup, tiny_sim):
 def test_state_term_zero_for_zero_modified_contrast(tiny_setup, tiny_sim):
     r_hat = np.zeros((16, 16), dtype=complex)
     ctx = tiny_setup.loss_context(tiny_sim.data, r_fixed=r_hat)
-    res = ctx.residuals(np.zeros((8, tiny_setup.basis.m0), dtype=complex), r_hat)
-    assert ctx.term_values(res)[0] == 0.0
+    zero = np.zeros((8, tiny_setup.basis.m0), dtype=complex)
+    assert loss_total(zero, ctx).state == 0.0
+    assert _dense_terms(tiny_setup, zero, r_hat, tiny_sim.data)[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -229,3 +266,28 @@ def test_breakdown_row_layout(tiny_ctx):
     bd = loss_total(np.zeros((8, tiny_ctx.basis.m0), dtype=complex), tiny_ctx)
     row = bd.as_row()
     assert row == (bd.state, bd.data, bd.bound, bd.tv, bd.bridge, bd.total)
+
+
+# ----------------------------------------------------------------------
+# The loss at the truth's projection (a yardstick; it reads chi_true)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("eps, rel, state_loss", [(2.0, 0.1167, 0.06687), (5.0, 0.2157, 1.4712)])
+def test_truncated_truth_probe(eps, rel, state_loss, default_config, austria2_sim):
+    """The true currents chi_true*E truncated to m_f modes, through the loss
+    pipeline on the default austria scene: the contrast they recover and
+    their state term. Neither depends on the data (only the data term does),
+    so the eps 2 data serve both. At eps 5 the state term is far from
+    cancellation in its view-sum form."""
+    from pdfisp.reconstruct import Problem, relative_error
+    from pdfisp.scenes import builtin_scene, rasterize
+
+    scene = builtin_scene("austria", eps)
+    problem = Problem.build(default_config)
+    state = pipeline_forward(oracles.truncated_truth_coefficients(default_config, scene),
+                             problem.loss_context(austria2_sim.data))
+    chi_true = rasterize(scene, problem.grid).values
+    assert relative_error(state.rec.chi.real + 1.0, chi_true.real + 1.0) == pytest.approx(
+        rel, abs=5e-5)
+    assert state.breakdown.state == pytest.approx(state_loss, rel=1e-4)

@@ -73,8 +73,8 @@ def _check_weight_gradient(ctx, alpha0, seed):
     flat = flat + 0.05 * rng.standard_normal(flat.size)
     params = unflatten_params(flat, params)
 
-    g, bd = grad_loss(params, alpha0, ctx)
-    assert np.isfinite(bd.total)
+    g, state = grad_loss(params, alpha0, ctx)
+    assert np.isfinite(state.breakdown.total)
 
     from pdfisp.losses import loss_total
 

@@ -102,13 +102,24 @@ def test_descent_stops_once_converged(tiny_setup, tiny_sim):
     out = csi_descent(obj, n_views=8, target_data_loss=0.0, time_limit=20.0)
     assert not out["reached"] and out["elapsed"] < 10.0
 
-    # per view, least squares on the stacked normalized residuals
+    # per view, least squares on the stacked normalized residuals, the state
+    # part formed explicitly with the dense domain operator
+    import oracles
+    from pdfisp.spectral import expand
+
     ctx, n, m0 = obj.ctx, 8, tiny_setup.basis.m0
+    setup = tiny_setup
+    gd = oracles.dense_domain_greens(setup.config.wavenumber, setup.grid.centers,
+                                     setup.grid.cell_size)
+    e_inc = setup.e_inc.views.reshape(n, -1)
 
     def stacked(alpha, homogeneous):
-        res = ctx.residuals(alpha, obj.r0, homogeneous=homogeneous)
-        return np.concatenate([res.state.reshape(n, -1) / np.sqrt(ctx.c_inc),
-                               res.data / np.sqrt(ctx.c_sca)], axis=1)
+        j = expand(setup.basis, alpha).reshape(n, -1)
+        state = oracles.state_residuals(j, 0.0 if homogeneous else e_inc, gd,
+                                        obj.r0.ravel(), obj.beta)
+        return np.concatenate([state / np.sqrt(ctx.c_inc),
+                               ctx.data_residual(alpha, homogeneous) / np.sqrt(ctx.c_sca)],
+                              axis=1)
 
     a = np.stack([stacked(np.tile(e, (n, 1)), True) for e in np.eye(m0)], axis=-1)
     b = stacked(np.zeros((n, m0)), False)
