@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,12 +89,9 @@ def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult
     if vmax is None:
         vmax = float(max(1.5, eps.max()))
     fileio.render_pgm(eps, vmin, vmax, paths["eps_pgm"])
-    fileio.write_trace(paths["trace"], result.trace, result.grad_norms, result.update_norms,
-                       result.clamped_counts, result.degenerate_counts)
+    fileio.write_trace(paths["trace"], result.trace)
     metrics = {
-        "final_loss": {"state": result.final_loss.state, "data": result.final_loss.data,
-                       "bound": result.final_loss.bound, "tv": result.final_loss.tv,
-                       "bridge": result.final_loss.bridge, "total": result.final_loss.total},
+        "final_loss": asdict(result.final_loss),
         "rel_error": result.rel_error,
         "peak_eps": float(eps.max()),
         "min_eps": float(eps.min()),

@@ -156,6 +156,10 @@ class ImagingConfig:
             raise ConfigError("solver_maxiter must be >= 1")
         if self.cco.gf_radius < 1:
             raise ConfigError("cco.gf_radius must be >= 1")
+        if self.cco.delta <= 0:
+            raise ConfigError("cco.delta must be positive")
+        if self.cco.gf_eps <= 0:
+            raise ConfigError("cco.gf_eps must be positive")
         # antennas must sit strictly outside the domain
         if self.radius <= self.doi_side * (2.0 ** 0.5) / 2.0:
             raise ConfigError("ring_radius must exceed doi_side*sqrt(2)/2")

@@ -16,13 +16,15 @@ import json
 import struct
 import sys
 import zlib
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import read_json, write_json
+from .config import from_dict, read_json, write_json
 from .forward import ScatteredData
 from .geometry import ComplexGrid
+from .reconstruct import IterationRecord
 
 _MARKER = 0x1A2B3C4D
 
@@ -39,6 +41,29 @@ class ByteOrderError(FileFormatError):
     """File was written by a big-endian producer."""
 
 
+@dataclass(frozen=True)
+class DatasetHeader:
+    """The JSON header of an `.emsca` file."""
+
+    n_tx: int
+    n_rx: int
+    byte_order: str = "little"
+    snr_db: float | None = None
+    has_mask: bool = False
+    meta: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class GridHeader:
+    """The JSON header of a `.grid` file."""
+
+    m1: int
+    m2: int
+    cell_size: float
+    config_hash: str = ""
+    byte_order: str = "little"
+
+
 # ----------------------------------------------------------------------
 # Shared header plumbing
 
@@ -51,7 +76,8 @@ def _write_header(fh, magic: str, meta: dict) -> None:
     fh.write(struct.pack("<I", _MARKER))
 
 
-def _read_header(fh, magic: str) -> dict:
+def _read_header(fh, magic: str, cls):
+    """The header of `magic`, read into dataclass `cls` along its field types."""
     first = fh.readline()
     if first != f"{magic} 1\n".encode():
         raise FileFormatError(f"not a {magic} file (bad magic {first!r})")
@@ -71,12 +97,15 @@ def _read_header(fh, magic: str) -> dict:
     if marker != struct.pack("<I", _MARKER):
         raise FileFormatError("bad byte-order marker")
     try:
-        return json.loads(blob)
+        header = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise CorruptHeaderError("header is not valid JSON") from exc
+    return from_dict(cls, header, FileFormatError)
 
 
 def _complex_from_bytes(buf: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    if min(shape) < 1:
+        raise FileFormatError(f"header gives shape {shape}; every size must be >= 1")
     n = int(np.prod(shape))
     if len(buf) < n * 16:
         raise FileFormatError("truncated payload")
@@ -103,17 +132,19 @@ def save_dataset(path, data: ScatteredData, meta: dict | None = None) -> None:
 
 def load_dataset(path) -> tuple[ScatteredData, dict]:
     with open(path, "rb") as fh:
-        header = _read_header(fh, "EMSCA")
-        shape = (header["n_tx"], header["n_rx"])
+        header = _read_header(fh, "EMSCA", DatasetHeader)
+        shape = (header.n_tx, header.n_rx)
         payload = fh.read(int(np.prod(shape)) * 16)
         matrix = _complex_from_bytes(payload, shape)
         mask = None
-        if header.get("has_mask"):
-            mbuf = fh.read(int(np.prod(shape)))
+        if header.has_mask:
+            mbuf = fh.read(matrix.size)
+            if len(mbuf) < matrix.size:
+                raise FileFormatError(f"truncated mask: {len(mbuf)} of {matrix.size} bytes")
             mask = np.frombuffer(mbuf, dtype=np.uint8).reshape(shape).astype(bool)
-    snr = header.get("snr_db")
+    snr = header.snr_db
     data = ScatteredData(matrix=matrix, snr_db=None if snr is None else float(snr), mask=mask)
-    return data, header.get("meta", {})
+    return data, header.meta
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +162,9 @@ def save_grid(path, grid: ComplexGrid, config_hash: str = "") -> None:
 
 def load_grid(path) -> ComplexGrid:
     with open(path, "rb") as fh:
-        header = _read_header(fh, "GRID")
-        shape = (header["m1"], header["m2"])
-        values = _complex_from_bytes(fh.read(), shape)
-    return ComplexGrid(values=values, cell_size=float(header["cell_size"]))
+        header = _read_header(fh, "GRID", GridHeader)
+        values = _complex_from_bytes(fh.read(), (header.m1, header.m2))
+    return ComplexGrid(values=values, cell_size=float(header.cell_size))
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +191,14 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
 # Traces, metrics, manifests
 
 
-def write_trace(path, trace, grad_norms, update_norms, clamped_counts,
-                degenerate_counts) -> None:
-    """One CSV row per iteration: its loss terms, the norm of their gradient
-    over the network weights, the norm of the optimizer step taken after it,
-    then the pixel counts of its least-squares contrast: on the clamped branch
-    (Re chi < 0) and degenerate (`cie.ContrastRecovery.degenerate`)."""
-    rows = zip(trace, grad_norms, update_norms, clamped_counts, degenerate_counts, strict=True)
+def write_trace(path, trace: list[IterationRecord]) -> None:
+    """One CSV row per iteration: its index, then the fields of
+    `reconstruct.IterationRecord` in order, floats as .17g and counts as ints."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm,"
-                 "n_clamped,n_degenerate\n")
-        for k, (bd, g, u, c, d) in enumerate(rows):
-            fh.write(f"{k}," + ",".join(f"{v:.17g}" for v in (*bd.as_row(), g, u))
-                     + f",{c:d},{d:d}\n")
+        fh.write(",".join(["iteration", *(f.name for f in fields(IterationRecord))]) + "\n")
+        for k, rec in enumerate(trace):
+            cells = (f"{v:d}" if isinstance(v, int) else f"{v:.17g}" for v in astuple(rec))
+            fh.write(f"{k}," + ",".join(cells) + "\n")
 
 
 def sha256_file(path) -> str:
@@ -210,7 +235,17 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
 
 
 def load_manifest(path) -> dict:
-    return read_json(path)
+    """A manifest; FileFormatError unless it has what `rerun` replays: `argv`, a
+    list of strings, and `outputs`, an object of file hashes."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise FileFormatError(f"{path}: a manifest is a JSON object")
+    argv, outputs = manifest.get("argv"), manifest.get("outputs")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise FileFormatError(f"{path}: manifest argv must be a list of strings, got {argv!r}")
+    if not isinstance(outputs, dict):
+        raise FileFormatError(f"{path}: manifest outputs must be an object, got {outputs!r}")
+    return manifest
 
 
 def workspace_paths(out_dir) -> dict[str, Path]:

@@ -55,15 +55,12 @@ class ZeroDataError(ValueError):
 class LossBreakdown:
     """One evaluation of the composite loss; bound/tv/bridge are pre-weighting."""
 
-    total: float
     state: float
     data: float
     bound: float
     tv: float
     bridge: float
-
-    def as_row(self) -> tuple[float, ...]:
-        return (self.state, self.data, self.bound, self.tv, self.bridge, self.total)
+    total: float
 
 
 @dataclass

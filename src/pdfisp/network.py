@@ -6,9 +6,9 @@ weights rather than the coefficients directly. The output layer starts at
 zero, making the first iterate exactly the physics-derived initialization.
 Gradients are hand-derived reverse mode through the full composite loss
 (see losses.pipeline_backward for the physics half); the optimizer is
-bias-corrected Adam with the corrections folded into two scalars, run in
-cache-sized blocks over preallocated memory (`adam_step`), whose step norm
-is the one finiteness check of an iteration.
+bias-corrected Adam with the corrections folded into two scalars, run
+over preallocated memory (`adam_step`), whose step norm is the one
+finiteness check of an iteration.
 
 Widths are [2*m0, 2*m0, 2*m0, 2*m0] with tanh hidden activations; the two
 halves of the input/output are the real and imaginary coefficient parts.
@@ -243,9 +243,6 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
 ADAM_B1 = 0.9     # first-moment decay
 ADAM_B2 = 0.999   # second-moment decay
 ADAM_EPS = 1e-8   # added to the root of the second moment
-# Elements per block of the Adam step: the block's slices of m, v, the
-# gradient and the work buffer (256 KB each) fit in a core's L2 together.
-ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -281,14 +278,11 @@ def adam_step(state: AdamState, params: NetworkParams,
 
     The bias corrections fold into two scalars,
     lr*(m/c1)/(sqrt(v/c2) + eps) = a*m/(sqrt(v) + b) with a = lr*sqrt(c2)/c1
-    and b = eps*sqrt(c2), and the step runs over ADAM_BLOCK elements at a
-    time, so every pass but the final subtraction works on data in cache.
-    The step is formed in `state.work` and its squared norm summed on the
-    way, as is the gradient's while its block is in cache; the step's sum is
-    its one finiteness check. A nonfinite gradient or step raises
-    FloatingPointError before any weight moves. The moments are already
-    updated by then, so after a nonfinite gradient they hold nonfinite
-    entries and every later step with this state raises too.
+    and b = eps*sqrt(c2). The step is formed in `state.work`, so no pass
+    allocates, and its squared norm is its one finiteness check. A nonfinite
+    gradient or step raises FloatingPointError before any weight moves. The
+    moments are already updated by then, so after a nonfinite gradient they
+    hold nonfinite entries and every later step with this state raises too.
     """
     if grad.shape != params.flat.shape:
         raise ValueError("gradient length does not match parameter count")
@@ -296,27 +290,24 @@ def adam_step(state: AdamState, params: NetworkParams,
     root_c2 = np.sqrt(1.0 - ADAM_B2 ** t)
     a = state.lr * root_c2 / (1.0 - ADAM_B1 ** t)
     b = ADAM_EPS * root_c2
-    norm2 = g_norm2 = 0.0
+    m, v, w = state.m, state.v, state.work
     with np.errstate(invalid="ignore"):       # inf/inf: reported by the check below
-        for lo in range(0, grad.size, ADAM_BLOCK):
-            blk = slice(lo, lo + ADAM_BLOCK)
-            g, m, v, w = grad[blk], state.m[blk], state.v[blk], state.work[blk]
-            g_norm2 += float(np.dot(g, g))
-            m *= ADAM_B1
-            np.multiply(g, 1.0 - ADAM_B1, out=w)
-            m += w
-            np.multiply(g, g, out=w)
-            w *= 1.0 - ADAM_B2
-            v *= ADAM_B2
-            v += w
-            np.sqrt(v, out=w)
-            w += b
-            np.divide(m, w, out=w)
-            w *= a
-            norm2 += float(np.dot(w, w))
+        g_norm2 = float(np.dot(grad, grad))
+        m *= ADAM_B1
+        np.multiply(grad, 1.0 - ADAM_B1, out=w)
+        m += w
+        np.multiply(grad, grad, out=w)
+        w *= 1.0 - ADAM_B2
+        v *= ADAM_B2
+        v += w
+        np.sqrt(v, out=w)
+        w += b
+        np.divide(m, w, out=w)
+        w *= a
+        norm2 = float(np.dot(w, w))
     if not np.isfinite(norm2):
         raise FloatingPointError("nonfinite optimizer step")
-    params.flat -= state.work
+    params.flat -= w
     state.step = t
     state.update_norm = float(np.sqrt(norm2))
     state.grad_norm = float(np.sqrt(g_norm2))

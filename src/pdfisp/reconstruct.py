@@ -30,17 +30,27 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to the first
 
 
+@dataclass(frozen=True)
+class IterationRecord(LossBreakdown):
+    """One iteration of the main loop, one row of `trace.csv` in field order:
+    its loss terms, the 2-norm of their gradient over the network weights,
+    the 2-norm of the Adam step taken after it, and the pixel counts of its
+    least-squares contrast on the clamped branch (Re chi < 0) and degenerate
+    (`cie.ContrastRecovery.degenerate`)."""
+
+    grad_norm: float
+    update_norm: float
+    n_clamped: int
+    n_degenerate: int
+
+
 @dataclass
 class ReconstructionResult:
     chi_hat: ComplexGrid          # contrast before compensation
     chi_cco: ComplexGrid          # after contrast compensation
-    trace: list[LossBreakdown]    # one entry per iteration
+    trace: list[IterationRecord]  # one entry per iteration
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
-    grad_norms: list[float]       # loss gradient 2-norm per iteration
-    update_norms: list[float]     # Adam step 2-norm per iteration
-    clamped_counts: list[int]     # pixels with Re chi < 0 (clamped branch) per iteration
-    degenerate_counts: list[int]  # degenerate least-squares pixels per iteration
     rel_error: float | None = None
 
     @property
@@ -263,19 +273,14 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     adam = AdamState.for_params(net, lr=config.learn_rate)
     ctx = problem.loss_context(data, r_fixed=r0 if config.freeze_r else None)
 
-    trace: list[LossBreakdown] = []
-    grad_norms: list[float] = []
-    update_norms: list[float] = []
-    clamped_counts: list[int] = []
-    degenerate_counts: list[int] = []
+    trace: list[IterationRecord] = []
     for _ in range(config.k_iters):
         g, state = grad_loss(net, alpha0, ctx)
-        trace.append(state.breakdown)
-        clamped_counts.append(int(np.count_nonzero(state.rec.chi.real < 0.0)))
-        degenerate_counts.append(int(np.count_nonzero(state.rec.degenerate)))
         net, adam = adam_step(adam, net, g)
-        grad_norms.append(adam.grad_norm)
-        update_norms.append(adam.update_norm)
+        trace.append(IterationRecord(
+            **vars(state.breakdown), grad_norm=adam.grad_norm, update_norm=adam.update_norm,
+            n_clamped=int(np.count_nonzero(state.rec.chi.real < 0.0)),
+            n_degenerate=int(np.count_nonzero(state.rec.degenerate))))
 
     alpha_hat = alpha0 + forward_net(net, alpha0)
     final = pipeline_forward(alpha_hat, ctx)
@@ -290,10 +295,7 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
-                                final_loss=final_bd, wall_time=wall,
-                                grad_norms=grad_norms, update_norms=update_norms,
-                                clamped_counts=clamped_counts,
-                                degenerate_counts=degenerate_counts, rel_error=rel)
+                                final_loss=final_bd, wall_time=wall, rel_error=rel)
 
 
 # ----------------------------------------------------------------------

@@ -102,6 +102,10 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "config m1 string": ([*SIM, "austria:2", "--config", "{d}/m1.json"], "ImagingConfig.m1"),
     "config cco key": ([*SIM, "austria:2", "--config", "{d}/cco.json"],
                        "CcoParams keys: ['bogus']"),
+    "config cco delta 0": ([*SIM, "austria:2", "--config", "{d}/cco_delta.json"],
+                           "cco.delta must be positive"),
+    "config cco gf_eps 0": ([*SIM, "austria:2", "--config", "{d}/cco_gf_eps.json"],
+                            "cco.gf_eps must be positive"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
     "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
     "scene eps_r text": ([*SIM, "austria:abc"], "eps_r 'abc'"),
@@ -115,6 +119,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                               "StudySpec.scene_name"),
     "spec scene_name sweep": (["study", "--spec", "{d}/scene_sweep.json"],
                               "StudySpec.scene_name"),
+    "manifest no argv": (["rerun", "--manifest", "{d}/no_argv.json"], "manifest argv"),
+    "manifest no outputs": (["rerun", "--manifest", "{d}/no_outputs.json"], "manifest outputs"),
 }
 
 
@@ -122,6 +128,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
 def test_malformed_input_names_the_field(name, tmp_path, capsys):
     _json(tmp_path / "m1.json", {"m1": "64"})
     _json(tmp_path / "cco.json", {"cco": {"bogus": 1}})
+    _json(tmp_path / "cco_delta.json", {"cco": {"delta": 0}})
+    _json(tmp_path / "cco_gf_eps.json", {"cco": {"gf_eps": 0.0}})
     _json(tmp_path / "no_radius.json", {"shapes": [DISK]})
     _json(tmp_path / "radios.json", {"shapes": [dict(DISK, radius=0.3, radios=0.3)]})
     _json(tmp_path / "ablation.json", {"kind": "ablation", "ablations": ["no_foo"],
@@ -133,6 +141,8 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
     for kind in ("noise", "sweep"):
         _json(tmp_path / f"scene_{kind}.json", {"kind": kind, "scene_name": "nonagon",
                                                 "config": TINY_CONFIG})
+    _json(tmp_path / "no_argv.json", {"command": "simulate", "outputs": {}})
+    _json(tmp_path / "no_outputs.json", {"command": "simulate", "argv": ["simulate"]})
     argv, field = MALFORMED[name]
     argv = [a.format(d=tmp_path) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2

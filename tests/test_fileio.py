@@ -1,18 +1,19 @@
 """Binary formats, header integrity checks, renders, traces, manifests."""
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from pdfisp.fileio import (ByteOrderError, CorruptHeaderError, FileFormatError,
+from pdfisp.fileio import (ByteOrderError, CorruptHeaderError, FileFormatError, _write_header,
                            load_dataset, load_grid, load_manifest, render_pgm,
                            save_dataset, save_grid, sha256_file, workspace_paths,
                            write_manifest, write_trace)
 from pdfisp.forward import ScatteredData
 from pdfisp.geometry import ComplexGrid
-from pdfisp.losses import LossBreakdown
+from pdfisp.reconstruct import IterationRecord
 
 
 def _dataset(mask=False):
@@ -122,6 +123,44 @@ def test_truncated_payload_detected(tmp_path):
         load_dataset(path)
 
 
+def test_truncated_mask_detected(tmp_path):
+    path = tmp_path / "d.emsca"
+    save_dataset(path, _dataset(mask=True))
+    path.write_bytes(path.read_bytes()[:-13])        # 11 of the 24 mask bytes left
+    with pytest.raises(FileFormatError, match="truncated mask: 11 of 24 bytes"):
+        load_dataset(path)
+
+
+DATASET = {"n_tx": 4, "n_rx": 6, "byte_order": "little", "snr_db": None, "has_mask": False}
+GRID = {"m1": 5, "m2": 7, "cell_size": 0.5, "config_hash": "", "byte_order": "little"}
+BAD_HEADERS = {   # name -> (magic, header with a valid CRC, loader, what the error names)
+    "emsca no n_tx": ("EMSCA", {k: v for k, v in DATASET.items() if k != "n_tx"},
+                      load_dataset, "DatasetHeader.n_tx is missing"),
+    "emsca n_rx text": ("EMSCA", {**DATASET, "n_rx": "6"}, load_dataset,
+                        "DatasetHeader.n_rx: expected int, got '6'"),
+    "emsca has_mask number": ("EMSCA", {**DATASET, "has_mask": 1}, load_dataset,
+                              "DatasetHeader.has_mask: expected bool"),
+    "emsca n_tx zero": ("EMSCA", {**DATASET, "n_tx": 0}, load_dataset, "shape (0, 6)"),
+    "emsca unknown key": ("EMSCA", {**DATASET, "n_views": 4}, load_dataset,
+                          "unknown DatasetHeader keys: ['n_views']"),
+    "emsca not an object": ("EMSCA", [4, 6], load_dataset, "DatasetHeader: expected an object"),
+    "grid no cell_size": ("GRID", {k: v for k, v in GRID.items() if k != "cell_size"},
+                          load_grid, "GridHeader.cell_size is missing"),
+    "grid m1 float": ("GRID", {**GRID, "m1": 5.0}, load_grid, "GridHeader.m1: expected int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HEADERS))
+def test_bad_header_names_the_key(name, tmp_path):
+    magic, header, loader, message = BAD_HEADERS[name]
+    path = tmp_path / "bad"
+    with open(path, "wb") as fh:
+        _write_header(fh, magic, header)
+        fh.write(bytes(16 * 4 * 7))
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        loader(path)
+
+
 # ----------------------------------------------------------------------
 # Renders
 
@@ -146,19 +185,17 @@ def test_pgm_rejects_bad_range(tmp_path):
 
 
 def test_trace_csv_format(tmp_path):
-    trace = [LossBreakdown(state=1.0, data=2.0, bound=0.5, tv=0.25,
-                           bridge=0.125, total=3.875)]
+    record = IterationRecord(state=1.0, data=2.0, bound=0.5, tv=0.25, bridge=0.125,
+                             total=3.875, grad_norm=0.75, update_norm=0.0625,
+                             n_clamped=12, n_degenerate=0)
     path = tmp_path / "t.csv"
-    columns = dict(grad_norms=[0.75], update_norms=[0.0625], clamped_counts=[12],
-                   degenerate_counts=[0])
-    write_trace(path, trace, **columns)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm,"
-                        "n_clamped,n_degenerate")
-    assert lines[1] == "0,1,2,0.5,0.25,0.125,3.875,0.75,0.0625,12,0"
-    for name in columns:
-        with pytest.raises(ValueError):
-            write_trace(path, trace, **{**columns, name: []})
+    write_trace(path, [record])
+    header = ("iteration,state,data,bound,tv,bridge,total,grad_norm,update_norm,"
+              "n_clamped,n_degenerate")
+    assert path.read_text().splitlines() == [
+        header, "0,1,2,0.5,0.25,0.125,3.875,0.75,0.0625,12,0"]
+    write_trace(path, [])                       # k_iters 0: the header alone
+    assert path.read_text() == header + "\n"
 
 
 def test_sha256_matches_hashlib(tmp_path):

@@ -262,12 +262,6 @@ def test_frozen_contrast_gradient_matches_finite_differences(tiny_setup, tiny_si
     _check_alpha_gradient(ctx, alpha, rng, 16)
 
 
-def test_breakdown_row_layout(tiny_ctx):
-    bd = loss_total(np.zeros((8, tiny_ctx.basis.m0), dtype=complex), tiny_ctx)
-    row = bd.as_row()
-    assert row == (bd.state, bd.data, bd.bound, bd.tv, bd.bridge, bd.total)
-
-
 # ----------------------------------------------------------------------
 # The loss at the truth's projection (a yardstick; it reads chi_true)
 
