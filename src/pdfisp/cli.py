@@ -160,10 +160,7 @@ def _cmd_fresnel(args, argv) -> int:
     if not args.file:
         raise UsageError("fresnel: --file is required unless only --write-synthetic is used")
     dataset = load_fresnel(args.file, args.freq)
-    over = _overrides(args)
-    if args.cells:
-        over.update(m1=args.cells, m2=args.cells)
-    cfg = fresnel_config(dataset, **over)
+    cfg = fresnel_config(dataset, **_overrides(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = reconstruct(cfg, dataset.scattered(), array=dataset.array())
@@ -248,7 +245,6 @@ def build_parser() -> _Parser:
     p.add_argument("--freq", type=float, default=5.0,
                    help="frequency to invert, Hz (values < 1e3 mean GHz); the 5 GHz "
                         "default balances resolution against contrast recovery")
-    p.add_argument("--cells", type=int, help="inversion grid cells per side")
     p.add_argument("--seed", type=int)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--vmin", type=float, default=1.0)
@@ -289,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, FresnelError, OSError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, FresnelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

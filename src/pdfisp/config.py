@@ -77,12 +77,9 @@ class ImagingConfig:
         Forward solve stopping rule above 1024 cells: relative state-equation
         residual (> 0), and the cap on GMRES iterations per view (>= 1).
         Smaller grids are LU-solved.
-    use_cco, freeze_r, fine_forward
-        Ablation / modeling switches. ``freeze_r`` keeps the modified
-        contrast fixed at its initial estimate during optimization instead
-        of re-deriving it from the current coefficients. ``fine_forward``
-        simulates measurement data on a 2x finer grid to avoid committing
-        the inverse crime.
+    use_cco, fine_forward
+        Ablation / modeling switches. ``fine_forward`` simulates measurement
+        data on a 2x finer grid to avoid committing the inverse crime.
     """
 
     frequency: float = 400e6
@@ -105,7 +102,6 @@ class ImagingConfig:
     solver_tol: float = 1e-8
     solver_maxiter: int = 2000
     use_cco: bool = True
-    freeze_r: bool = False
     fine_forward: bool = False
 
     # ------------------------------------------------------------------

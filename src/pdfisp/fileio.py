@@ -16,7 +16,7 @@ import json
 import struct
 import sys
 import zlib
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -191,14 +191,23 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
 # Traces, metrics, manifests
 
 
+def write_csv(path, columns: list[str], rows) -> None:
+    """A header of `columns`, then one line per dict row; a key a row lacks
+    gives an empty cell. Floats are written as .17g, which round-trips every
+    float64, so a rerun reproduces the file byte for byte; other cells as str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (row.get(c, "") for c in columns)
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in cells) + "\n")
+
+
 def write_trace(path, trace: list[IterationRecord]) -> None:
     """One CSV row per iteration: its index, then the fields of
-    `reconstruct.IterationRecord` in order, floats as .17g and counts as ints."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["iteration", *(f.name for f in fields(IterationRecord))]) + "\n")
-        for k, rec in enumerate(trace):
-            cells = (f"{v:d}" if isinstance(v, int) else f"{v:.17g}" for v in astuple(rec))
-            fh.write(f"{k}," + ",".join(cells) + "\n")
+    `reconstruct.IterationRecord` in order."""
+    write_csv(path, ["iteration", *(f.name for f in fields(IterationRecord))],
+              ({"iteration": k, **asdict(rec)} for k, rec in enumerate(trace)))
 
 
 def sha256_file(path) -> str:

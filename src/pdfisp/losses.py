@@ -28,9 +28,11 @@ function returning its value and its contrast gradient together
 (`bound_term`, `tv_term`, `bridge_term`). `pipeline_forward` adds the
 least-squares contrast, the physical-branch map and the penalties, keeping
 the intermediates the hand-derived reverse pass `pipeline_backward` needs,
-the weighted penalty gradient among them; the frozen-contrast objective
-(`reconstruct.CsiObjective`) uses the same functions without the
-least-squares contrast.
+the weighted penalty gradient among them. The pipeline always re-derives
+R from the iterate. `reconstruct.CsiObjective` is the one objective that
+holds R fixed (the initializer's and the reference descent's): it calls
+the same two functions with its own R and without the least-squares
+contrast.
 """
 from __future__ import annotations
 
@@ -71,7 +73,8 @@ class LossContext:
     geometry and spectral basis (`reconstruct.Problem` builds them once);
     the basis is read from it. `c_sca` and `c_inc` are the measured
     (masked) and incident powers over all views jointly, the normalizers
-    of the data and state terms.
+    of the data and state terms. Data with a nonfinite entry, masked or
+    not, is rejected here, before any loss is evaluated.
     """
 
     data: ScatteredData
@@ -80,7 +83,6 @@ class LossContext:
     beta: float
     lambdas: tuple[float, float, float]
     tau_b: float
-    r_fixed: np.ndarray | None = None   # freeze the modified contrast here
     c_sca: float = field(init=False)
     c_inc: float = field(init=False)
 
@@ -89,6 +91,11 @@ class LossContext:
             raise ValueError(
                 f"view count mismatch: data has {self.data.matrix.shape[0]} rows, "
                 f"incident fields have {self.e_inc.shape[0]}")
+        bad = ~np.isfinite(self.data.matrix)
+        if bad.any():
+            raise ValueError(
+                f"measured data has nonfinite entries: {int(bad.sum())}, in "
+                f"{int(bad.any(axis=1).sum())} of {bad.shape[0]} rows")
         self.c_sca = _power(self._masked(self.data.matrix))
         self.c_inc = _power(self.e_inc)
         if self.c_sca <= 0:
@@ -259,10 +266,7 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
     j, e = ctx.fields(alpha_hat)
     rec = pixel_least_squares(j, e)
     chi = rec.chi
-    if ctx.r_fixed is not None:
-        r_hat = ctx.r_fixed
-    else:
-        r_hat = chi_to_r(physical_branch(chi), ctx.beta)
+    r_hat = chi_to_r(physical_branch(chi), ctx.beta)
     data_res = ctx.data_residual(alpha_hat)
     l_state, l_data = ctx.term_values(r_hat, rec.sums, data_res)
 
@@ -309,18 +313,15 @@ def pipeline_backward(state: PipelineState, ctx: LossContext) -> np.ndarray:
     chi = rec.chi
 
     # contrast chain: the weighted penalty gradient kept by the forward pass
-    # plus (unless frozen) the modified-contrast map on the physical branch,
-    # whose clamp passes no real-part gradient; from the view-sum form of the
-    # state term, dL/dR = (2/c_inc) [R (Pee + 2 beta Re Pej + beta^2 Pjj)
-    # - beta (Pej + beta Pjj)]
-    g_chi = state.penalty_grad
-    if ctx.r_fixed is None:
-        s = rec.sums
-        g_r = (2.0 / ctx.c_inc) * (
-            r_hat * (s.pee + 2.0 * beta * s.pej.real + beta * beta * s.pjj)
-            - beta * (s.pej + beta * s.pjj))
-        g_phys = np.conj(beta / (beta * physical_branch(chi) + 1.0) ** 2) * g_r
-        g_chi = g_chi + np.where(chi.real > 0.0, g_phys, 1j * g_phys.imag)
+    # plus the modified-contrast map on the physical branch, whose clamp
+    # passes no real-part gradient; from the view-sum form of the state term,
+    # dL/dR = (2/c_inc) [R (Pee + 2 beta Re Pej + beta^2 Pjj) - beta (Pej + beta Pjj)]
+    s = rec.sums
+    g_r = (2.0 / ctx.c_inc) * (
+        r_hat * (s.pee + 2.0 * beta * s.pej.real + beta * beta * s.pjj)
+        - beta * (s.pej + beta * s.pjj))
+    g_phys = np.conj(beta / (beta * physical_branch(chi) + 1.0) ** 2) * g_r
+    g_chi = state.penalty_grad + np.where(chi.real > 0.0, g_phys, 1j * g_phys.imag)
 
     # chi = num/den with num = sum_i J_i conj(E_i), den real
     g_num = g_chi / rec.denominator

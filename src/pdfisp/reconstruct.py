@@ -104,13 +104,12 @@ class Problem:
             cls._cache[key] = cls(config, array, grid, ops, e_inc, basis, maps)
         return dc_replace(cls._cache[key], config=config)
 
-    def loss_context(self, data: ScatteredData,
-                     r_fixed: np.ndarray | None = None) -> LossContext:
+    def loss_context(self, data: ScatteredData) -> LossContext:
         """The composite loss of `data` under this problem's config."""
         cfg = self.config
         return LossContext(data=data, e_inc=self.e_inc.views, maps=self.maps,
                            beta=cfg.beta, lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
-                           tau_b=cfg.tau_b, r_fixed=r_fixed)
+                           tau_b=cfg.tau_b)
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +142,13 @@ def bp_initialize(data: ScatteredData, e_inc: FieldSet, ops: GreensOperators,
 class CsiObjective:
     """Data+state quadratic in the coefficients, modified contrast frozen at r0.
 
-    Shared by the spectral initializer (one exact step from zero) and the
-    plain-descent reference solver. It is the loss context with
-    r_fixed=r0 and no regularizers, evaluated through the view sums and the
-    context's term and gradient functions, as the main loop is, but without
-    the least-squares contrast; plus the curvature of the quadratic for the
-    exact line search. Takes the main loop's precomputed maps when given,
-    and builds them from (ops, basis) otherwise.
+    The package's one fixed-R objective, shared by the spectral initializer
+    (one exact step from zero) and the plain-descent reference solver. It
+    is a loss context without regularizers, evaluated at R = r0 through the
+    view sums and the context's term and gradient functions, as the main
+    loop is, but without the least-squares contrast; plus the curvature of
+    the quadratic for the exact line search. Takes the main loop's
+    precomputed maps when given, and builds them from (ops, basis) otherwise.
     """
 
     r0: np.ndarray
@@ -166,7 +165,7 @@ class CsiObjective:
             maps = SpectralOperators.build(self.ops, self.basis)
         # tau_b only shapes the bridge term, which zero weights switch off
         self.ctx = LossContext(data=self.data, e_inc=self.e_inc, maps=maps, beta=self.beta,
-                               lambdas=(0.0, 0.0, 0.0), tau_b=1.0, r_fixed=self.r0)
+                               lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
 
     def value_parts(self, alpha: np.ndarray, homogeneous: bool = False) -> tuple[float, float]:
         """Normalized (state, data) terms at coefficients alpha.
@@ -263,6 +262,7 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     problem = Problem.build(config, array)
     if data.matrix.shape != (problem.array.n_tx, problem.array.n_rx):
         raise ValueError("data matrix does not match the antenna array")
+    ctx = problem.loss_context(data)   # rejects unusable data before any numerics
 
     _, r0 = bp_initialize(data, problem.e_inc, problem.ops, config.beta)
     alpha0 = init_alpha(r0, data, problem.e_inc, problem.ops, problem.basis, config.beta,
@@ -271,7 +271,6 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     rng = np.random.default_rng(config.rng_seed)
     net = init_network(problem.basis.m0, rng)
     adam = AdamState.for_params(net, lr=config.learn_rate)
-    ctx = problem.loss_context(data, r_fixed=r0 if config.freeze_r else None)
 
     trace: list[IterationRecord] = []
     for _ in range(config.k_iters):

@@ -17,6 +17,7 @@ from scipy import ndimage
 
 from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, config_from_dict, config_hash,
                      config_to_dict, from_dict, json_digest, read_json, write_json)
+from .fileio import write_csv
 from .forward import SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
@@ -124,17 +125,6 @@ def _resume_or_run(out_dir, payload: dict, runner) -> dict:
     return row
 
 
-def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            vals = []
-            for c in columns:
-                v = row.get(c, "")
-                vals.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            fh.write(",".join(vals) + "\n")
-
-
 def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -> list[dict]:
     """Run a study's (config, params, runner) cells in order; return their rows.
 
@@ -153,7 +143,7 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
         rows.append(_resume_or_run(out_dir, payload, runner))
     if out_dir is not None:
         columns = [c for c in columns + ["error"] if any(c in r for r in rows)]
-        _write_csv(Path(out_dir) / f"{name}.csv", rows, columns)
+        write_csv(Path(out_dir) / f"{name}.csv", columns, rows)
     return rows
 
 
@@ -294,8 +284,8 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
                                        "q3": q[3], "max": q[4]}}
     if out_dir is not None:
         stats_rows = [{"sigma": s, **v["stats"]} for s, v in out.items()]
-        _write_csv(Path(out_dir) / "monte_carlo_stats.csv", stats_rows,
-                   ["sigma", "min", "q1", "median", "q3", "max"])
+        write_csv(Path(out_dir) / "monte_carlo_stats.csv",
+                  ["sigma", "min", "q1", "median", "q3", "max"], stats_rows)
     return out
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from pdfisp.cli import _redirect_out, main
 from pdfisp.config import load_config
-from pdfisp.fileio import load_dataset, load_grid, load_manifest, sha256_file
+from pdfisp.fileio import load_dataset, load_grid, load_manifest, save_dataset, sha256_file
+from pdfisp.forward import ScatteredData
 
 TINY = ["--set", "m1=16", "--set", "m2=16", "--set", "m_f=3",
         "--set", "n_tx=8", "--set", "n_rx=8", "--set", "k_iters=2"]
@@ -106,6 +107,10 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                            "cco.delta must be positive"),
     "config cco gf_eps 0": ([*SIM, "austria:2", "--config", "{d}/cco_gf_eps.json"],
                             "cco.gf_eps must be positive"),
+    "config freeze_r": ([*SIM, "austria:2", "--config", "{d}/freeze_r.json"],
+                        "ImagingConfig keys: ['freeze_r']"),
+    "data nan": (["reconstruct", *TINY, "--data", "{d}/nan.emsca"],
+                 "nonfinite entries: 1, in 1 of 8 rows"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
     "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
     "scene eps_r text": ([*SIM, "austria:abc"], "eps_r 'abc'"),
@@ -130,6 +135,10 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
     _json(tmp_path / "cco.json", {"cco": {"bogus": 1}})
     _json(tmp_path / "cco_delta.json", {"cco": {"delta": 0}})
     _json(tmp_path / "cco_gf_eps.json", {"cco": {"gf_eps": 0.0}})
+    _json(tmp_path / "freeze_r.json", {"freeze_r": False})
+    matrix = np.ones((8, 8), dtype=complex)
+    matrix[3, 5] = np.nan
+    save_dataset(tmp_path / "nan.emsca", ScatteredData(matrix=matrix))
     _json(tmp_path / "no_radius.json", {"shapes": [DISK]})
     _json(tmp_path / "radios.json", {"shapes": [dict(DISK, radius=0.3, radios=0.3)]})
     _json(tmp_path / "ablation.json", {"kind": "ablation", "ablations": ["no_foo"],
@@ -312,7 +321,7 @@ def test_fresnel_write_synthetic_only(tmp_path):
 def test_fresnel_reconstruct_run(foamdiel_file, tmp_path):
     d = tmp_path / "fres"
     code = main(["fresnel", "--file", str(foamdiel_file), "--freq", "5.0",
-                 "--cells", "16", "--set", "m_f=3", "--set", "k_iters=2",
+                 "--set", "m1=16", "--set", "m2=16", "--set", "m_f=3", "--set", "k_iters=2",
                  "--out", str(d)])
     assert code == 0
     for name in ("config.json", "chi.grid", "eps_r.pgm", "metrics.json",

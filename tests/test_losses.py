@@ -124,8 +124,16 @@ def _dense_terms(setup, alpha, r_hat, data, homogeneous=False):
         np.ravel(r_hat), setup.config.beta, data.matrix, mask, homogeneous=homogeneous)
 
 
+def _frozen_objective(setup, data, r0):
+    """The fixed-R objective (`reconstruct.CsiObjective`) of `data` at R = r0."""
+    from pdfisp.reconstruct import CsiObjective
+
+    return CsiObjective(r0=r0, e_inc=setup.e_inc.views, data=data, ops=setup.ops,
+                        basis=setup.basis, beta=setup.config.beta, maps=setup.maps)
+
+
 def test_data_term_with_mask(tiny_setup, tiny_sim):
-    """State and data terms of the pipeline against dense matrices, with
+    """State and data terms at a fixed R against dense matrices, with
     half the receivers unmeasured and garbage in their entries."""
     setup = tiny_setup
     rng = np.random.default_rng(6)
@@ -134,37 +142,39 @@ def test_data_term_with_mask(tiny_setup, tiny_sim):
     mask[:, ::2] = 1.0
     data = ScatteredData(matrix=np.where(mask > 0, tiny_sim.data.matrix, 1e3), mask=mask)
     r_hat = 0.5 * (rng.uniform(size=(16, 16)) + 1j * rng.uniform(size=(16, 16)))
-    ctx = setup.loss_context(data, r_fixed=r_hat)
+    obj = _frozen_objective(setup, data, r_hat)
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
-    bd = loss_total(alpha, ctx)
+    got_state, got_data = obj.value_parts(alpha)
     state, data_term = _dense_terms(setup, alpha, r_hat, data)
-    assert bd.state == pytest.approx(state, rel=1e-10)
-    assert bd.data == pytest.approx(data_term, rel=1e-10)
+    assert got_state == pytest.approx(state, rel=1e-10)
+    assert got_data == pytest.approx(data_term, rel=1e-10)
 
 
 @pytest.mark.parametrize("case", ["free", "pole", "frozen", "curvature"])
 def test_terms_match_dense_residuals(case, tiny_setup, tiny_sim, tiny_ctx, pole_alpha):
     """The state term from per-pixel view sums and the data term equal the
     powers of the explicit dense residuals: with R from the iterate, past the
-    pole (pixels on the clamped branch), with R frozen, and as the curvature
-    (homogeneous part) of the frozen-contrast objective."""
-    from pdfisp.reconstruct import CsiObjective, bp_initialize
+    pole (pixels on the clamped branch), and in the frozen-contrast objective
+    with R fixed, as its value and as its curvature (homogeneous part)."""
+    from pdfisp.reconstruct import bp_initialize
 
     setup = tiny_setup
     rng = np.random.default_rng(9)
     n, m0 = setup.config.n_tx, setup.basis.m0
     alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
     _, r0 = bp_initialize(tiny_sim.data, setup.e_inc, setup.ops, setup.config.beta)
-    if case == "curvature":
-        obj = CsiObjective(r0=r0, e_inc=setup.e_inc.views, data=tiny_sim.data, ops=setup.ops,
-                           basis=setup.basis, beta=setup.config.beta, maps=setup.maps)
-        want = _dense_terms(setup, alpha, r0, tiny_sim.data, homogeneous=True)
-        assert obj.curvature(alpha) == pytest.approx(sum(want), rel=1e-12)
+    if case in ("frozen", "curvature"):
+        obj = _frozen_objective(setup, tiny_sim.data, r0)
+        if case == "curvature":
+            want = _dense_terms(setup, alpha, r0, tiny_sim.data, homogeneous=True)
+            assert obj.curvature(alpha) == pytest.approx(sum(want), rel=1e-12)
+        else:
+            want = _dense_terms(setup, alpha, r0, tiny_sim.data)
+            assert obj.value_parts(alpha) == pytest.approx(want, rel=1e-12)
         return
     if case == "pole":
         alpha = pole_alpha
-    ctx = setup.loss_context(tiny_sim.data, r_fixed=r0) if case == "frozen" else tiny_ctx
-    state = pipeline_forward(alpha, ctx)
+    state = pipeline_forward(alpha, tiny_ctx)
     if case == "pole":
         assert (state.rec.chi.real < 0.0).sum() >= 10
     want = _dense_terms(setup, alpha, state.r_hat, tiny_sim.data)
@@ -186,9 +196,9 @@ def test_view_count_mismatch_rejected(tiny_setup, tiny_sim):
 
 def test_state_term_zero_for_zero_modified_contrast(tiny_setup, tiny_sim):
     r_hat = np.zeros((16, 16), dtype=complex)
-    ctx = tiny_setup.loss_context(tiny_sim.data, r_fixed=r_hat)
+    obj = _frozen_objective(tiny_setup, tiny_sim.data, r_hat)
     zero = np.zeros((8, tiny_setup.basis.m0), dtype=complex)
-    assert loss_total(zero, ctx).state == 0.0
+    assert obj.value_parts(zero)[0] == 0.0
     assert _dense_terms(tiny_setup, zero, r_hat, tiny_sim.data)[0] == 0.0
 
 
@@ -249,17 +259,6 @@ def test_pipeline_past_the_pole_stays_on_physical_branch(tiny_ctx, pole_alpha):
     assert np.isfinite(state.breakdown.total)
     assert np.abs(state.r_hat).max() < 1.0
     _check_alpha_gradient(tiny_ctx, pole_alpha, np.random.default_rng(11), 24)
-
-
-def test_frozen_contrast_gradient_matches_finite_differences(tiny_setup, tiny_sim):
-    from pdfisp.reconstruct import bp_initialize
-
-    _, r0 = bp_initialize(tiny_sim.data, tiny_setup.e_inc, tiny_setup.ops, 6.0)
-    ctx = tiny_setup.loss_context(tiny_sim.data, r_fixed=r0)
-    rng = np.random.default_rng(8)
-    n, m0 = ctx.e_inc.shape[0], ctx.basis.m0
-    alpha = 0.1 * (rng.standard_normal((n, m0)) + 1j * rng.standard_normal((n, m0)))
-    _check_alpha_gradient(ctx, alpha, rng, 16)
 
 
 # ----------------------------------------------------------------------

@@ -194,8 +194,6 @@ def test_reconstruct_rejects_mismatched_data(quick_cfg):
 
 
 def test_modeling_switches_run(quick_cfg, tiny_sim):
-    frozen = reconstruct(replace(quick_cfg, freeze_r=True), tiny_sim.data)
-    assert np.isfinite(frozen.final_loss.total)
     plain = reconstruct(replace(quick_cfg, use_cco=False), tiny_sim.data)
     assert np.array_equal(plain.chi_cco.values, plain.chi_hat.values)
 
