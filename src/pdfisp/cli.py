@@ -74,9 +74,10 @@ def _build_config(args) -> ImagingConfig:
     return config_from_dict({**config_to_dict(cfg), **_overrides(args)})
 
 
-def _finish(out_dir: Path, command: str, argv, seed, inputs, outputs, t0) -> None:
+def _finish(out_dir: Path, command: str, argv, seed, inputs, outputs, t0,
+            solver: dict | None = None) -> None:
     fileio.write_manifest(out_dir / "manifest.json", command, argv, seed,
-                          inputs, outputs, time.perf_counter() - t0)
+                          inputs, outputs, time.perf_counter() - t0, solver=solver)
 
 
 def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult,
@@ -119,7 +120,10 @@ def _cmd_simulate(args, argv) -> int:
     fileio.save_grid(out / "chi_true.grid", sim.chi_true, config_hash=config_hash(cfg))
     outputs = [out / "config.json", out / "data.emsca", out / "chi_true.grid"]
     inputs = [args.config] if args.config else []
-    _finish(out, "simulate", argv, cfg.rng_seed, inputs, outputs, t0)
+    solver = {"path": sim.solver_path, "steps": sim.solver_steps,
+              "max_residual": float(sim.solver_residuals.max()),
+              "residuals": sim.solver_residuals.tolist()}
+    _finish(out, "simulate", argv, cfg.rng_seed, inputs, outputs, t0, solver=solver)
     return 0
 
 

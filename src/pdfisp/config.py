@@ -74,9 +74,11 @@ class ImagingConfig:
     rng_seed : int
         Seed controlling all randomness of a run.
     solver_tol, solver_maxiter
-        Forward solve stopping rule above 1024 cells: relative state-equation
-        residual (> 0), and the cap on GMRES iterations per view (>= 1).
-        Smaller grids are LU-solved.
+        Forward solve stopping rule: relative state-equation residual (> 0),
+        and the cap on steps (>= 1). A support (nonzero-contrast cells) of at
+        most 2048 cells is LU-solved, and solver_maxiter caps its refinement
+        steps; a larger one runs GMRES, and solver_maxiter caps the
+        iterations per view.
     use_cco, fine_forward
         Ablation / modeling switches. ``fine_forward`` simulates measurement
         data on a 2x finer grid to avoid committing the inverse crime.

@@ -219,11 +219,13 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(path, command: str, argv: list[str], seed: int | None,
-                   inputs: list, outputs: list, wall_time: float) -> None:
+                   inputs: list, outputs: list, wall_time: float,
+                   solver: dict | None = None) -> None:
     """Record how a CLI run can be reproduced and what it produced.
 
-    Output hashes capture every tracked artifact; wall time lives only here,
-    so tracked outputs stay bit-identical across reruns.
+    Output hashes capture every tracked artifact; wall time and the forward
+    solve's diagnostics (`solver`, when given) live only here, so tracked
+    outputs stay bit-identical across reruns.
     """
     import numpy
     import scipy
@@ -240,6 +242,8 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
         "outputs": {str(p): sha256_file(p) for p in outputs},
         "wall_time_s": wall_time,
     }
+    if solver is not None:
+        manifest["solver"] = solver
     write_json(path, manifest)
 
 

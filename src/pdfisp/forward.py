@@ -7,6 +7,12 @@ the Green's integrals have closed Bessel/Hankel forms. The domain operator
 G_D is block-Toeplitz and is applied through a padded FFT convolution; the
 receiver operator G_S is a small dense matrix.
 
+The state equation E = E_inc + G_D(chi E) couples only the support, the
+cells with nonzero contrast. When the support has at most DENSE_MAX_CELLS
+cells, it is solved there: one LU of I - G_SS diag(chi_S) serves every view,
+and G_D(chi E) then gives the field on the whole grid. Larger supports run
+restarted GMRES per view on the whole grid.
+
 Time convention exp(-i*omega*t); the scalar Green's function is
 g(r, r') = (i/4) * H0(k0 |r - r'|) with H0 the first-kind Hankel function.
 """
@@ -23,8 +29,10 @@ from .config import ImagingConfig
 from .geometry import AntennaArray, ComplexGrid, GridGeometry, build_array, build_grid
 from .scenes import Scene, rasterize
 
-DENSE_MAX_CELLS = 1024      # LU up to here: 32x32 takes ~0.1 s, GMRES 0.4-2.5 s
+DENSE_MAX_CELLS = 2048      # support cells LU-solved: a 33.5 MB complex64 factor
 GMRES_RESTART = 100         # restart 30 needs 7-10x more matvecs at eps 5
+GD_CHUNK = 4                # images per padded FFT in apply_gd
+LU_BLOCK = 128              # support-matrix columns assembled at a time
 
 
 class GeometryError(ValueError):
@@ -32,19 +40,23 @@ class GeometryError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Raised when the Krylov forward solve exceeds its iteration cap."""
+    """Raised when a forward solve exceeds its iteration cap above tol."""
 
 
 @dataclass(frozen=True)
 class FieldSet:
     """Per-transmitter stacks of complex field images, shape (n_views, m1, m2).
 
-    residuals (when present) stores the relative equation residual of each
-    solved view.
+    A solved set also records the relative equation residual of each view,
+    the path that solved it ("support-lu" or "gmres") and that path's steps:
+    LU solves for "support-lu", G_D applications summed over the views for
+    "gmres".
     """
 
     views: np.ndarray
     residuals: np.ndarray | None = None
+    path: str | None = None
+    steps: int = 0
 
     @property
     def n_views(self) -> int:
@@ -141,25 +153,37 @@ def build_greens(config: ImagingConfig, array: AntennaArray, grid: GridGeometry)
 
 
 def apply_gd(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
-    """G_D applied to one or more images, shape (..., m1, m2) -> same."""
+    """G_D applied to one or more images, shape (..., m1, m2) -> same.
+
+    A stack is transformed GD_CHUNK images at a time into one output, so
+    the padded FFT scratch is a few images deep, not the whole stack.
+    """
     m1, m2 = ops.m1, ops.m2
-    pad = np.zeros(x.shape[:-2] + (2 * m1, 2 * m2), dtype=np.complex128)
-    pad[..., :m1, :m2] = x
-    out = sfft.ifft2(sfft.fft2(pad, axes=(-2, -1)) * ops.gd_kernel_hat, axes=(-2, -1))
-    return out[..., :m1, :m2]
+    flat = x.reshape(-1, m1, m2)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for k in range(0, len(flat), GD_CHUNK):
+        chunk = flat[k:k + GD_CHUNK]
+        pad = np.zeros((len(chunk), 2 * m1, 2 * m2), dtype=np.complex128)
+        pad[:, :m1, :m2] = chunk
+        spec = sfft.fft2(pad, overwrite_x=True)
+        spec *= ops.gd_kernel_hat
+        out[k:k + GD_CHUNK] = sfft.ifft2(spec, overwrite_x=True)[:, :m1, :m2]
+    return out.reshape(x.shape)
+
+
+def _gd_entries(ops: GreensOperators, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """G_D entries between row-major cells p and q (broadcast together): the
+    kernel at their wrapped displacement, as the FFT application uses it."""
+    (pi, pj), (qi, qj) = np.divmod(p, ops.m2), np.divmod(q, ops.m2)
+    return ops.gd_kernel[(pi - qi) % (2 * ops.m1), (pj - qj) % (2 * ops.m2)]
 
 
 def dense_gd_matrix(ops: GreensOperators) -> np.ndarray:
-    """Explicit (M, M) domain operator for small grids (tests, LU solves).
-
-    Entry (p, q) is the kernel at the wrapped displacement of cells p and q
-    (row-major cell order), the same entries the FFT application uses.
-    """
+    """Explicit (M, M) domain operator for small grids (tests)."""
     if ops.n_cells > 4096:
         raise ValueError("dense G_D limited to grids of at most 4096 cells")
-    i, j = np.divmod(np.arange(ops.n_cells), ops.m2)
-    return ops.gd_kernel[(i[:, None] - i[None, :]) % (2 * ops.m1),
-                         (j[:, None] - j[None, :]) % (2 * ops.m2)]
+    cells = np.arange(ops.n_cells)
+    return _gd_entries(ops, cells[:, None], cells[None, :])
 
 
 # ----------------------------------------------------------------------
@@ -175,28 +199,85 @@ def incident_fields(config: ImagingConfig, array: AntennaArray, grid: GridGeomet
     return FieldSet(views=views.reshape(array.n_tx, grid.m1, grid.m2))
 
 
-def _solve_dense(chi: np.ndarray, e_inc: np.ndarray, ops: GreensOperators) -> np.ndarray:
-    gd = dense_gd_matrix(ops)
-    m = gd.shape[0]
-    a_mat = np.eye(m, dtype=np.complex128) - gd * chi.ravel()[None, :]
-    sol = np.linalg.solve(a_mat, e_inc.reshape(-1, m).T)
-    return sol.T.reshape(e_inc.shape)
+def _support_lu(chi_s: np.ndarray, support: np.ndarray, ops: GreensOperators):
+    """LU factor of A_S = I - G_SS diag(chi_S) over the support cells.
+
+    Stored as complex64 in Fortran order and factored in place; the columns
+    are assembled LU_BLOCK at a time, so no complex128 copy of A_S exists.
+    """
+    from scipy.linalg import lu_factor
+
+    n = support.size
+    a_mat = np.empty((n, n), dtype=np.complex64, order="F")
+    for k in range(0, n, LU_BLOCK):
+        cols = slice(k, k + LU_BLOCK)
+        a_mat[:, cols] = -_gd_entries(ops, support[:, None], support[None, cols]) * chi_s[cols]
+    a_mat.flat[::n + 1] += 1.0
+    return lu_factor(a_mat, overwrite_a=True, check_finite=False)
+
+
+def _solve_support(chi: np.ndarray, support: np.ndarray, b: np.ndarray,
+                   ops: GreensOperators, tol: float,
+                   maxiter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """E = E_inc + G_D(chi E) through one LU on the support, for all views.
+
+    Each step solves A_S d_S = r_S for the current residual r (complex64),
+    extends the correction to the grid as d = r + G_D(chi d_S), and updates
+    E += d; the residual is evaluated in complex128. Steps stop once every
+    view's relative residual is at most tol; NoConvergenceError is raised
+    after maxiter steps, or when a step does not lower the worst residual
+    (the single-precision factor is then too inaccurate to refine).
+    Returns the fields, their relative residuals and the number of steps.
+    """
+    from scipy.linalg import lu_solve
+
+    n_views = b.shape[0]
+    if support.size == 0:
+        return b.copy(), np.zeros(n_views), 0
+    chi_s = chi.ravel()[support]
+    factor = _support_lu(chi_s, support, ops)
+    e_tot = np.zeros_like(b)
+    resid = b.copy()
+    worst, steps = np.inf, 0
+    while True:
+        r_s = resid.reshape(n_views, -1)[:, support].T.astype(np.complex64)
+        d_s = lu_solve(factor, r_s, overwrite_b=True, check_finite=False)
+        src = np.zeros((n_views, chi.size), dtype=np.complex128)
+        src[:, support] = d_s.T * chi_s
+        e_tot += resid
+        e_tot += apply_gd(ops, src.reshape(b.shape))
+        steps += 1
+        resid = _state_residual(chi, e_tot, b, ops)
+        rel = _relative_norms(resid, b)
+        last, worst = worst, rel.max()
+        # a step that does not lower the worst residual (or a nonfinite one) ends it
+        if worst <= tol or steps >= maxiter or not worst < last:
+            break
+    if not worst <= tol:
+        raise NoConvergenceError(
+            f"forward solve: {np.count_nonzero(~(rel <= tol))} view(s) above tol after "
+            f"{steps} support LU refinement step(s) (max residual {worst:.3e})")
+    return e_tot, rel, steps
 
 
 def _solve_gmres(chi: np.ndarray, b: np.ndarray, ops: GreensOperators,
-                 tol: float, maxiter: int) -> np.ndarray:
+                 tol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """Restarted GMRES on (I - G_D chi) x = b, one view at a time.
 
     maxiter caps the Krylov iterations per view; the restart length is
-    GMRES_RESTART, or maxiter when that is smaller.
+    GMRES_RESTART, or maxiter when that is smaller. Returns the fields and
+    the number of G_D applications over all views.
     """
     # imported here: scipy.sparse adds about 0.1 s to `import pdfisp`
     from scipy.sparse.linalg import LinearOperator, gmres
 
     shape = b.shape[-2:]
     n = chi.size
+    matvecs = 0
 
     def op(v):
+        nonlocal matvecs
+        matvecs += 1
         return v - apply_gd(ops, chi * v.reshape(shape)).ravel()
 
     a_op = LinearOperator((n, n), matvec=op, dtype=np.complex128)
@@ -210,39 +291,50 @@ def _solve_gmres(chi: np.ndarray, b: np.ndarray, ops: GreensOperators,
         x[view] = sol.reshape(shape)
         failed += info > 0
     if failed:
-        worst = _relative_residuals(chi, x, b, ops).max()
+        worst = _relative_norms(_state_residual(chi, x, b, ops), b).max()
         raise NoConvergenceError(
             f"forward solve: {failed} view(s) above tol after {maxiter} "
             f"iterations (max residual {worst:.3e})")
-    return x
+    return x, matvecs
 
 
 def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
                       tol: float = 1e-8, maxiter: int = 2000) -> FieldSet:
     """Solve the state equation E = E_inc + G_D(chi * E) for every view.
 
-    Grids of at most DENSE_MAX_CELLS cells assemble the explicit operator
-    and LU-solve all views at once; larger grids run restarted GMRES per
-    view with the FFT-applied G_D, stopping at relative residual tol and
-    raising NoConvergenceError past maxiter iterations on any view.
+    Every path stops at relative residual tol and raises NoConvergenceError
+    past maxiter steps. A support of at most DENSE_MAX_CELLS cells is
+    LU-solved for all views at once and refined (at most maxiter refinement
+    steps); a larger one runs restarted GMRES per view with the FFT-applied
+    G_D (at most maxiter iterations per view).
     """
     chi_arr = chi.values
     b = e_inc.views
     if chi_arr.shape != b.shape[-2:]:
         raise ValueError("contrast grid and incident views disagree in shape")
-    if chi_arr.size <= DENSE_MAX_CELLS:
-        x = _solve_dense(chi_arr, b, ops)
-    else:
-        x = _solve_gmres(chi_arr, b, ops, tol, maxiter)
-    return FieldSet(views=x, residuals=_relative_residuals(chi_arr, x, b, ops))
+    support = np.flatnonzero(chi_arr)
+    if support.size <= DENSE_MAX_CELLS:
+        x, residuals, steps = _solve_support(chi_arr, support, b, ops, tol, maxiter)
+        return FieldSet(views=x, residuals=residuals, path="support-lu", steps=steps)
+    x, steps = _solve_gmres(chi_arr, b, ops, tol, maxiter)
+    residuals = _relative_norms(_state_residual(chi_arr, x, b, ops), b)
+    return FieldSet(views=x, residuals=residuals, path="gmres", steps=steps)
 
 
-def _relative_residuals(chi: np.ndarray, e_tot: np.ndarray, e_inc: np.ndarray,
-                        ops: GreensOperators) -> np.ndarray:
-    num = e_tot - e_inc - apply_gd(ops, chi * e_tot)
-    nn = np.sqrt(np.einsum("nij,nij->n", np.conj(num), num).real)
-    dd = np.sqrt(np.einsum("nij,nij->n", np.conj(e_inc), e_inc).real)
-    return nn / np.where(dd > 0, dd, 1.0)
+def _state_residual(chi: np.ndarray, e_tot: np.ndarray, e_inc: np.ndarray,
+                    ops: GreensOperators) -> np.ndarray:
+    """E_inc - E + G_D(chi E) per view: zero for the exact total field."""
+    r = apply_gd(ops, chi * e_tot)
+    r += e_inc
+    r -= e_tot
+    return r
+
+
+def _relative_norms(r: np.ndarray, e_inc: np.ndarray) -> np.ndarray:
+    """Per-view norm of r over that of E_inc (over 1 for a zero E_inc)."""
+    num = np.sqrt(np.einsum("nij,nij->n", np.conj(r), r).real)
+    den = np.sqrt(np.einsum("nij,nij->n", np.conj(e_inc), e_inc).real)
+    return num / np.where(den > 0, den, 1.0)
 
 
 def synthesize_scattered(chi: ComplexGrid, e_tot: FieldSet, ops: GreensOperators) -> ScatteredData:
@@ -286,8 +378,15 @@ def add_awgn(data: ScatteredData, snr_db: float, rng: np.random.Generator) -> Sc
 
 @dataclass
 class SimulationResult:
+    """A simulated dataset, its truth on the inversion grid, and how hard the
+    forward solve worked: the relative residual per view, the solver path
+    and its step count (see FieldSet)."""
+
     data: ScatteredData
     chi_true: ComplexGrid
+    solver_residuals: np.ndarray
+    solver_path: str
+    solver_steps: int
 
 
 def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
@@ -299,10 +398,6 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
     keep simulated data off the inversion grid; chi_true is always returned
     on the inversion grid.
     """
-    # _solve_gmres's import, made before the operators are built: made
-    # mid-solve, its long-lived objects pin about 20 MB of freed solver
-    # scratch memory for the rest of the process
-    import scipy.sparse.linalg  # noqa: F401
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     if array is None:
@@ -314,6 +409,13 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
                              ring_radius=config.radius, fine_forward=False)
     grid = build_grid(sim_cfg)
     chi_sim = chi_true if sim_cfg is config else rasterize(scene, grid)
+    # the solver's scipy import, made before the operators are built: made
+    # mid-solve, its long-lived objects pin about 20 MB of freed solver
+    # scratch memory for the rest of the process
+    if np.count_nonzero(chi_sim.values) > DENSE_MAX_CELLS:
+        import scipy.sparse.linalg  # noqa: F401
+    else:
+        import scipy.linalg  # noqa: F401
     ops = build_greens(sim_cfg, array, grid)
     e_inc = incident_fields(sim_cfg, array, grid)
 
@@ -324,4 +426,5 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
     if worst > sim_cfg.solver_tol * 10:
         warnings.warn(f"forward residual {worst:.2e} above tolerance")
     data = add_awgn(data, snr_db, rng)
-    return SimulationResult(data=data, chi_true=chi_true)
+    return SimulationResult(data=data, chi_true=chi_true, solver_residuals=e_tot.residuals,
+                            solver_path=e_tot.path, solver_steps=e_tot.steps)

@@ -194,6 +194,10 @@ def test_simulate_manifest_contents(sim_dir):
                                  ("config.json", "data.emsca", "chi_true.grid")}
     for path, digest in m["outputs"].items():
         assert sha256_file(path) == digest
+    solver = m["solver"]
+    assert solver["path"] == "support-lu" and solver["steps"] >= 1
+    assert len(solver["residuals"]) == 8
+    assert solver["max_residual"] == max(solver["residuals"]) <= 1e-8
 
 
 def test_seed_flag_lands_in_config_and_manifest(tmp_path):

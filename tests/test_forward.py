@@ -85,7 +85,7 @@ def test_incident_field_is_line_source():
 
 
 def test_dense_solve_satisfies_state_equation():
-    # 12x12 = 144 cells: the LU side of the size rule
+    # 12x12 = 144 cells: the support LU side of the size rule
     cfg, grid, arr, ops = _setup()
     chi = rasterize(builtin_scene("austria", 2.5, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
@@ -96,21 +96,34 @@ def test_dense_solve_satisfies_state_equation():
     assert e_tot.residuals.max() < 1e-10
 
 
-def test_krylov_solve_agrees_with_dense():
-    # 40x40 = 1600 cells: the GMRES side; the reference is an LU solve of
+def _dense_reference(cfg, grid, chi, e_inc):
+    """LU solve of the independently assembled full-grid system."""
+    gd = oracles.dense_domain_greens(cfg.wavenumber, grid.centers, grid.cell_size)
+    a_mat = np.eye(grid.n_cells) - gd * chi.values.ravel()[None, :]
+    views = e_inc.views
+    return np.linalg.solve(a_mat, views.reshape(len(views), -1).T).T.reshape(views.shape)
+
+
+@pytest.fixture
+def gmres_only(monkeypatch):
+    # every support is above the LU limit, so the GMRES path runs
+    monkeypatch.setattr(forward, "DENSE_MAX_CELLS", 0)
+
+
+def test_krylov_solve_agrees_with_dense(gmres_only):
+    # 40x40 = 1600 cells on the GMRES path; the reference is an LU solve of
     # the independently assembled dense system
     cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 3.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
-    gd = oracles.dense_domain_greens(cfg.wavenumber, grid.centers, grid.cell_size)
-    a_mat = np.eye(grid.n_cells) - gd * chi.values.ravel()[None, :]
-    want = np.linalg.solve(a_mat, e_inc.views.reshape(6, -1).T).T.reshape(e_inc.views.shape)
+    want = _dense_reference(cfg, grid, chi, e_inc)
     krylov = solve_total_field(chi, e_inc, ops, tol=1e-10)
+    assert krylov.path == "gmres"
     assert np.linalg.norm(krylov.views - want) / np.linalg.norm(want) < 1e-8
     assert krylov.residuals.max() < 1e-9
 
 
-def test_gmres_solve_above_dense_limit_meets_tolerance():
+def test_gmres_solve_above_dense_limit_meets_tolerance(gmres_only):
     cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 2.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
@@ -118,7 +131,7 @@ def test_gmres_solve_above_dense_limit_meets_tolerance():
     assert e_tot.residuals.max() < 1e-7
 
 
-def test_solver_iteration_cap_raises():
+def test_solver_iteration_cap_raises(gmres_only):
     cfg, grid, arr, ops = _setup(m1=40, m2=40)
     chi = rasterize(builtin_scene("austria", 8.0, scale=0.9), grid)
     e_inc = incident_fields(cfg, arr, grid)
@@ -126,7 +139,7 @@ def test_solver_iteration_cap_raises():
         solve_total_field(chi, e_inc, ops, tol=1e-12, maxiter=2)
 
 
-def test_gmres_restarts_until_the_iteration_cap(monkeypatch):
+def test_gmres_restarts_until_the_iteration_cap(monkeypatch, gmres_only):
     # with a short restart one cycle cannot converge; the cap on iterations
     # per view, not the restart length, bounds the solve
     monkeypatch.setattr(forward, "GMRES_RESTART", 10)
@@ -137,7 +150,7 @@ def test_gmres_restarts_until_the_iteration_cap(monkeypatch):
 
 
 @pytest.mark.slow
-def test_default_eps8_solve_converges_well_inside_cap():
+def test_default_eps8_solve_converges_well_inside_cap(gmres_only):
     # the strongest contrast the studies use, on the default 64x64 grid with
     # 36 views, converges to solver_tol within a tenth of the default cap
     cfg = ImagingConfig().validate()
@@ -148,6 +161,55 @@ def test_default_eps8_solve_converges_well_inside_cap():
     e_tot = solve_total_field(chi, incident_fields(cfg, arr, grid), ops,
                               tol=cfg.solver_tol, maxiter=200)
     assert e_tot.residuals.max() <= cfg.solver_tol
+
+
+@pytest.mark.parametrize("eps", [2.0, 8.0])
+def test_support_solve_agrees_with_dense(eps):
+    # 40x40: the support (austria) is a third of the grid; the reference
+    # solves the independently assembled system on every cell
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", eps, scale=0.9), grid)
+    e_inc = incident_fields(cfg, arr, grid)
+    want = _dense_reference(cfg, grid, chi, e_inc)
+    got = solve_total_field(chi, e_inc, ops, tol=1e-12)
+    assert got.path == "support-lu"
+    assert 0 < np.count_nonzero(chi.values) < grid.n_cells
+    assert np.linalg.norm(got.views - want) / np.linalg.norm(want) < 1e-10
+    assert got.residuals.max() <= 1e-12
+
+
+def test_support_solve_of_empty_scene_is_incident_field():
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    e_inc = incident_fields(cfg, arr, grid)
+    empty = ComplexGrid(values=np.zeros((40, 40), dtype=complex), cell_size=grid.cell_size)
+    got = solve_total_field(empty, e_inc, ops)
+    assert np.array_equal(got.views, e_inc.views)
+    assert got.path == "support-lu" and got.steps == 0
+    assert np.all(got.residuals == 0)
+
+
+def test_gmres_and_support_solves_agree(monkeypatch):
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", 5.0, scale=0.9), grid)
+    e_inc = incident_fields(cfg, arr, grid)
+    lu = solve_total_field(chi, e_inc, ops, tol=1e-10)
+    monkeypatch.setattr(forward, "DENSE_MAX_CELLS", 0)
+    krylov = solve_total_field(chi, e_inc, ops, tol=1e-10)
+    assert (lu.path, krylov.path) == ("support-lu", "gmres")
+    assert krylov.steps > lu.steps > 0
+    assert np.linalg.norm(lu.views - krylov.views) / np.linalg.norm(lu.views) < 1e-7
+
+
+def test_support_refinement_cap_raises():
+    # one complex64 LU solve cannot reach 1e-14; the error names the steps
+    # taken and the worst residual
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", 8.0, scale=0.9), grid)
+    e_inc = incident_fields(cfg, arr, grid)
+    with pytest.raises(NoConvergenceError,
+                       match=r"6 view\(s\) above tol after 1 support LU refinement "
+                             r"step\(s\) \(max residual \d\.\d{3}e-\d\d\)"):
+        solve_total_field(chi, e_inc, ops, tol=1e-14, maxiter=1)
 
 
 def test_shape_mismatch_rejected():
@@ -216,6 +278,8 @@ def test_simulate_returns_truth_on_inversion_grid():
     sim = simulate(cfg, builtin_scene("austria", 2.0, scale=0.9))
     assert sim.chi_true.values.shape == (16, 16)
     assert sim.data.matrix.shape == (8, 8)
+    assert sim.solver_path == "support-lu" and sim.solver_steps >= 1
+    assert sim.solver_residuals.shape == (8,) and sim.solver_residuals.max() <= cfg.solver_tol
 
 
 def test_fine_forward_leaves_truth_coarse_but_changes_data():
