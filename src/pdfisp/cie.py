@@ -99,7 +99,6 @@ class ContrastRecovery:
     e_views: np.ndarray       # (n, m1, m2) total fields E_inc + G_D J
     sums: ViewSums            # per-pixel view sums of (j_views, e_views)
     denominator: np.ndarray   # (m1, m2) real, sums.pee + eps_reg
-    eps_reg: float
     degenerate: np.ndarray    # (m1, m2) bool, denominator <= 10*eps_reg
 
 
@@ -116,5 +115,4 @@ def pixel_least_squares(j_views: np.ndarray, e_views: np.ndarray) -> ContrastRec
     eps_reg = default_eps_reg(np.einsum("nk,nk->n", e, e), sums.pee.size)
     den = sums.pee + eps_reg
     return ContrastRecovery(chi=sums.pej / den, j_views=j_views, e_views=e_views, sums=sums,
-                            denominator=den, eps_reg=eps_reg,
-                            degenerate=den <= 10.0 * eps_reg)
+                            denominator=den, degenerate=den <= 10.0 * eps_reg)

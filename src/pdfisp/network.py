@@ -10,8 +10,9 @@ bias-corrected Adam with the corrections folded into two scalars, run
 over preallocated memory (`adam_step`), whose step norm is the one
 finiteness check of an iteration.
 
-Widths are [2*m0, 2*m0, 2*m0, 2*m0] with tanh hidden activations; the two
-halves of the input/output are the real and imaginary coefficient parts.
+The network is N_LAYERS = 3 square affine layers of width 2*m0 (tanh,
+tanh, linear) held in one parameter vector; the two halves of the
+input/output are the real and imaginary coefficient parts.
 Two scalings keep the optimization well conditioned independently of m0
 and of the coefficient dynamic range (the DC mode is orders of magnitude
 larger than the high modes):
@@ -40,49 +41,37 @@ import numpy as np
 from .losses import LossContext, PipelineState, pipeline_backward, pipeline_forward
 
 
+N_LAYERS = 3   # affine layers: two tanh hidden layers, then the linear output
+
+
 @dataclass
 class NetworkParams:
-    """Affine layers (weight, bias) with weights shaped (fan_out, fan_in).
+    """N_LAYERS square affine layers of size `width` in one vector `flat`.
 
-    The layers are views into one contiguous buffer `flat` (layer by layer,
-    weight then bias), so the optimizer updates every layer in place. The
-    arrays passed in are copied into that buffer.
+    `flat` holds the layers one after another, each as its (width, width)
+    weight (fan_out, fan_in) followed by its bias. `weights` and `biases`
+    are views into it, so the optimizer updates every layer in place.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray
+    width: int
 
     def __post_init__(self):
-        shapes = [(np.shape(w), np.shape(b)) for w, b in zip(self.weights, self.biases)]
-        self.flat = np.concatenate([np.ravel(a) for w, b in zip(self.weights, self.biases)
-                                    for a in (w, b)]).astype(np.float64)
-        self.weights, self.biases = _layer_views(self.flat, shapes)
+        if self.flat.shape != (N_LAYERS * self.width * (self.width + 1),):
+            raise ValueError("flat parameter vector has the wrong length")
 
     @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+    def weights(self) -> np.ndarray:
+        """(N_LAYERS, width, width) view of the weights."""
+        return self.flat.reshape(N_LAYERS, self.width + 1, self.width)[:, :-1]
+
+    @property
+    def biases(self) -> np.ndarray:
+        """(N_LAYERS, width) view of the biases."""
+        return self.flat.reshape(N_LAYERS, self.width + 1, self.width)[:, -1]
 
     def n_params(self) -> int:
         return self.flat.size
-
-    def layer_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
-
-
-def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weight and bias views into a flat buffer laid out as in NetworkParams."""
-    weights, biases = [], []
-    k = 0
-    for w_shape, b_shape in shapes:
-        n_w, n_b = int(np.prod(w_shape)), int(np.prod(b_shape))
-        weights.append(flat[k:k + n_w].reshape(w_shape))
-        k += n_w
-        biases.append(flat[k:k + n_b].reshape(b_shape))
-        k += n_b
-    if k != flat.size:
-        raise ValueError("flat parameter vector has the wrong length")
-    return weights, biases
 
 
 def init_network(m0: int, rng: np.random.Generator) -> NetworkParams:
@@ -93,17 +82,11 @@ def init_network(m0: int, rng: np.random.Generator) -> NetworkParams:
     """
     if m0 < 1:
         raise ValueError("m0 must be >= 1")
-    widths = [2 * m0] * 4
-    weights, biases = [], []
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        if i == len(widths) - 2:
-            w = np.zeros((fan_out, fan_in))
-        else:
-            w = rng.normal(0.0, np.sqrt(1.0 / fan_in), (fan_out, fan_in))
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(weights=weights, biases=biases)
+    width = 2 * m0
+    params = NetworkParams(np.zeros(N_LAYERS * width * (width + 1)), width)
+    for w in params.weights[:-1]:
+        w[...] = rng.normal(0.0, np.sqrt(1.0 / width), (width, width))
+    return params
 
 
 # Feature conditioning constants. The spectral coefficients span about four
@@ -142,16 +125,17 @@ def _net_forward(params: NetworkParams, x: np.ndarray, scales: np.ndarray):
     """Affine-tanh-affine-tanh-affine on rows of x; returns output and cache.
 
     Inputs are divided by the whitening scales; the output is multiplied
-    back by OUTPUT_GAIN * scales / sqrt(hidden_width). The cache holds the
-    whitened input.
+    back by OUTPUT_GAIN * scales / sqrt(width). The cache holds the input
+    of each layer: the whitened x, then each hidden activation.
     """
-    w1, w2, w3 = params.weights
-    b1, b2, b3 = params.biases
-    xn = x / scales
-    h1 = np.tanh(xn @ w1.T + b1)
-    h2 = np.tanh(h1 @ w2.T + b2)
-    y = (h2 @ w3.T + b3) * (OUTPUT_GAIN * scales / np.sqrt(w3.shape[1]))
-    return y, (xn, h1, h2)
+    h = x / scales
+    inputs = []
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        h = h @ w.T + b
+        if i < N_LAYERS - 1:
+            h = np.tanh(h)
+    return h * (OUTPUT_GAIN * scales / np.sqrt(params.width)), inputs
 
 
 def _split_views(alpha0: np.ndarray) -> np.ndarray:
@@ -173,8 +157,8 @@ def forward_net(params: NetworkParams, alpha0: np.ndarray) -> np.ndarray:
     """
     alpha0 = np.atleast_2d(alpha0)
     x = _split_views(alpha0)
-    if x.shape[1] != params.in_dim:
-        raise ValueError(f"network expects input width {params.in_dim}, got {x.shape[1]}")
+    if x.shape[1] != params.width:
+        raise ValueError(f"network expects input width {params.width}, got {x.shape[1]}")
     y, _ = _net_forward(params, x, _feature_scales(alpha0))
     return _merge_views(y)
 
@@ -190,11 +174,7 @@ def flatten_params(params: NetworkParams) -> np.ndarray:
 
 def unflatten_params(flat: np.ndarray, like: NetworkParams) -> NetworkParams:
     """Network shaped like `like` holding a copy of the vector `flat`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != like.n_params():
-        raise ValueError("flat parameter vector has the wrong length")
-    weights, biases = _layer_views(flat, like.layer_shapes())
-    return NetworkParams(weights=weights, biases=biases)
+    return NetworkParams(np.array(flat, dtype=np.float64), like.width)
 
 
 # ----------------------------------------------------------------------
@@ -214,27 +194,21 @@ def grad_loss(params: NetworkParams, alpha0: np.ndarray,
     """
     alpha0 = np.atleast_2d(np.asarray(alpha0, dtype=np.complex128))
     scales = _feature_scales(alpha0)
-    y, (x0, h1, h2) = _net_forward(params, _split_views(alpha0), scales)
+    y, inputs = _net_forward(params, _split_views(alpha0), scales)
     alpha_hat = alpha0 + _merge_views(y)
 
     state = pipeline_forward(alpha_hat, ctx)
-    gy = _split_views(pipeline_backward(state, ctx))
+    g = _split_views(pipeline_backward(state, ctx))
 
-    w1, w2, w3 = params.weights
-    flat = np.empty(params.n_params())
-    (gw1, gb1), (gw2, gb2), (gw3, gb3) = zip(*_layer_views(flat, params.layer_shapes()))
-    gy = gy * (OUTPUT_GAIN * scales / np.sqrt(w3.shape[1]))   # through the output rescale
-    np.matmul(gy.T, h2, out=gw3)
-    np.sum(gy, axis=0, out=gb3)
-    gh2 = gy @ w3
-    gz2 = gh2 * (1.0 - h2 * h2)
-    np.matmul(gz2.T, h1, out=gw2)
-    np.sum(gz2, axis=0, out=gb2)
-    gh1 = gz2 @ w2
-    gz1 = gh1 * (1.0 - h1 * h1)
-    np.matmul(gz1.T, x0, out=gw1)
-    np.sum(gz1, axis=0, out=gb1)
-    return flat, state
+    grad = NetworkParams(np.empty_like(params.flat), params.width)
+    g = g * (OUTPUT_GAIN * scales / np.sqrt(params.width))   # through the output rescale
+    for i in reversed(range(N_LAYERS)):
+        h = inputs[i]
+        np.matmul(g.T, h, out=grad.weights[i])
+        np.sum(g, axis=0, out=grad.biases[i])
+        if i:   # back through layer i and the tanh that produced its input
+            g = (g @ params.weights[i]) * (1.0 - h * h)
+    return grad.flat, state
 
 
 # ----------------------------------------------------------------------

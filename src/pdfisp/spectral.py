@@ -117,11 +117,8 @@ class SpectralOperators:
             raise ValueError("Green's operators and spectral basis disagree in grid size")
         b_img = expand(basis, np.eye(basis.m0, dtype=np.complex128))
         b_rows = b_img.reshape(basis.m0, -1)
-        fields = np.empty_like(b_rows)
-        step = 2 * basis.m_f     # padded FFT scratch for 2*m_f images at a time
-        for k in range(0, basis.m0, step):
-            fields[k:k + step] = apply_gd(ops, b_img[k:k + step]).reshape(step, -1)
-        return cls(fields=fields, receivers=b_rows @ ops.gs_matrix.T, basis=basis)
+        return cls(fields=apply_gd(ops, b_img).reshape(basis.m0, -1),
+                   receivers=b_rows @ ops.gs_matrix.T, basis=basis)
 
     def scattered_field(self, alpha: np.ndarray) -> np.ndarray:
         """Domain fields G_D J, shape (n, m1, m2)."""

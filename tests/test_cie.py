@@ -43,7 +43,7 @@ def test_pixel_least_squares_recovers_consistent_contrast():
     rec = pixel_least_squares(j, e)
     assert np.abs(rec.chi - chi).max() < 1e-8
     assert not rec.degenerate.any()
-    assert rec.eps_reg > 0
+    assert (rec.denominator > rec.sums.pee).all()   # a positive regularizer
 
 
 def test_pixel_least_squares_degenerate_pixels_flagged():
@@ -59,9 +59,11 @@ def test_pixel_least_squares_degenerate_pixels_flagged():
 def test_default_regularizer_formula():
     rng = np.random.default_rng(2)
     e = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    e[:, 0, 0] = 0.0                 # a dead pixel's denominator is the regularizer alone
     power = np.einsum("nij,nij->n", np.conj(e), e).real
     assert default_eps_reg(power, 36) == pytest.approx(1e-10 * power.max() / 36.0)
-    assert pixel_least_squares(0.5 * e, e).eps_reg == pytest.approx(default_eps_reg(power, 36))
+    rec = pixel_least_squares(0.5 * e, e)
+    assert rec.denominator[0, 0] == pytest.approx(default_eps_reg(power, 36))
 
 
 def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):

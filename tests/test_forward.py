@@ -149,6 +149,17 @@ def test_gmres_restarts_until_the_iteration_cap(monkeypatch, gmres_only):
     assert e_tot.residuals.max() <= 1e-8
 
 
+def test_support_above_the_lu_limit_takes_gmres():
+    # no patching: a full-domain square on 48x48 has 2304 support cells, more
+    # than DENSE_MAX_CELLS, so the size rule itself picks GMRES
+    cfg, grid, arr, ops = _setup(m1=48, m2=48)
+    chi = ComplexGrid(values=np.ones((48, 48), dtype=complex), cell_size=grid.cell_size)
+    assert np.count_nonzero(chi.values) > forward.DENSE_MAX_CELLS
+    e_tot = solve_total_field(chi, incident_fields(cfg, arr, grid), ops, tol=1e-8)
+    assert e_tot.path == "gmres"
+    assert e_tot.residuals.max() <= 1e-8
+
+
 @pytest.mark.slow
 def test_default_eps8_solve_converges_well_inside_cap(gmres_only):
     # the strongest contrast the studies use, on the default 64x64 grid with

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from pdfisp.network import (AdamState, NetworkParams, adam_step, flatten_params,
-                            forward_net, grad_loss, init_network, unflatten_params)
+from pdfisp.network import (AdamState, adam_step, flatten_params, forward_net, grad_loss,
+                            init_network, unflatten_params)
 from pdfisp.reconstruct import bp_initialize, init_alpha
 
 
@@ -23,7 +23,7 @@ def test_init_deterministic_and_sized():
     b = init_network(36, np.random.default_rng(0))
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-    assert a.in_dim == 72                       # real and imaginary channels
+    assert a.width == 72                        # real and imaginary channels
     assert a.weights[-1].shape[0] == 72
     assert a.n_params() == flatten_params(a).size
 
@@ -107,9 +107,7 @@ def test_gradient_past_the_pole_matches_finite_differences(tiny_ctx, pole_alpha)
 def test_nonfinite_gradient_raises(tiny_setup, tiny_sim, tiny_alpha0):
     ctx = tiny_setup.loss_context(tiny_sim.data)
     params = init_network(tiny_alpha0.shape[1], np.random.default_rng(8))
-    bad = [w.copy() for w in params.weights]
-    bad[0][0, 0] = np.nan
-    params = NetworkParams(weights=bad, biases=[b.copy() for b in params.biases])
+    params.weights[0][0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         grad_loss(params, tiny_alpha0, ctx)
 

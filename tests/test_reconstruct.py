@@ -9,6 +9,7 @@ from pdfisp.forward import simulate
 from pdfisp.reconstruct import (CsiObjective, Problem, bp_initialize, count_components,
                                 csi_descent, init_alpha, reconstruct, relative_error)
 from pdfisp.scenes import builtin_scene
+from pdfisp.studies import spurious_gap_pixels
 
 
 def _objective(setup, sim):
@@ -145,6 +146,20 @@ def test_count_components_four_connectivity():
     img[1, 1] = img[2, 2] = 2.0          # diagonal touch: two components
     img[4, 4] = img[4, 5] = 2.0          # edge touch: one component
     assert count_components(img, 1.5) == 3
+
+
+@pytest.mark.slow
+def test_bridge_term_separates_the_eps2_scatterers(default_config, austria2_sim,
+                                                   austria2_recon):
+    # at eps 2 the bridge term keeps the two disks apart from the annulus;
+    # without it the map merges into fewer components and fills the gaps
+    # between the true scatterers
+    no_bridge = reconstruct(replace(default_config, lambda3=0.0), austria2_sim.data,
+                            chi_true=austria2_sim.chi_true)
+    truth = austria2_sim.chi_true.values
+    with_eps, without_eps = austria2_recon.eps_r.real, no_bridge.eps_r.real
+    assert count_components(without_eps, 1.5) < count_components(with_eps, 1.5)
+    assert spurious_gap_pixels(without_eps, truth) > spurious_gap_pixels(with_eps, truth)
 
 
 # ----------------------------------------------------------------------
