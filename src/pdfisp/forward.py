@@ -9,9 +9,10 @@ receiver operator G_S is a small dense matrix.
 
 The state equation E = E_inc + G_D(chi E) couples only the support, the
 cells with nonzero contrast. When the support has at most DENSE_MAX_CELLS
-cells, it is solved there: one LU of I - G_SS diag(chi_S) serves every view,
-and G_D(chi E) then gives the field on the whole grid. Larger supports run
-restarted GMRES per view on the whole grid.
+cells, it is solved there: one complex64 LU of I - G_SS diag(chi_S) serves
+every view, and refinement on the support unknowns applies G_D once per step,
+which gives both the field on the whole grid and the next residual. Larger
+supports run restarted GMRES per view on the whole grid.
 
 Time convention exp(-i*omega*t); the scalar Green's function is
 g(r, r') = (i/4) * H0(k0 |r - r'|) with H0 the first-kind Hankel function.
@@ -48,9 +49,10 @@ class FieldSet:
     """Per-transmitter stacks of complex field images, shape (n_views, m1, m2).
 
     A solved set also records the relative equation residual of each view,
-    the path that solved it ("support-lu" or "gmres") and that path's steps:
-    LU solves for "support-lu", G_D applications summed over the views for
-    "gmres".
+    the path that solved it ("support-lu" or "gmres") and its steps, which
+    count G_D applications on both paths: "support-lu" refines on the
+    support with one application (of all views) per step, "gmres" sums its
+    applications over the views.
     """
 
     views: np.ndarray
@@ -173,9 +175,16 @@ def apply_gd(ops: GreensOperators, x: np.ndarray) -> np.ndarray:
 
 def _gd_entries(ops: GreensOperators, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """G_D entries between row-major cells p and q (broadcast together): the
-    kernel at their wrapped displacement, as the FFT application uses it."""
-    (pi, pj), (qi, qj) = np.divmod(p, ops.m2), np.divmod(q, ops.m2)
-    return ops.gd_kernel[(pi - qi) % (2 * ops.m1), (pj - qj) % (2 * ops.m2)]
+    kernel at their displacement, as the FFT application uses it.
+
+    One gather from the unwrapped (2*m1-1, 2*m2-1) kernel, whose entry
+    (di + m1-1, dj + m2-1) belongs to displacement (di, dj).
+    """
+    m1, m2 = ops.m1, ops.m2
+    width = 2 * m2 - 1
+    unwrapped = np.roll(ops.gd_kernel, (m1 - 1, m2 - 1), axis=(0, 1))[:2 * m1 - 1, :width]
+    (pi, pj), (qi, qj) = np.divmod(p, m2), np.divmod(q, m2)
+    return unwrapped.ravel().take((pi + m1 - 1) * width + pj + m2 - 1 - (qi * width + qj))
 
 
 def dense_gd_matrix(ops: GreensOperators) -> np.ndarray:
@@ -202,18 +211,20 @@ def incident_fields(config: ImagingConfig, array: AntennaArray, grid: GridGeomet
 def _support_lu(chi_s: np.ndarray, support: np.ndarray, ops: GreensOperators):
     """LU factor of A_S = I - G_SS diag(chi_S) over the support cells.
 
-    Stored as complex64 in Fortran order and factored in place; the columns
-    are assembled LU_BLOCK at a time, so no complex128 copy of A_S exists.
+    Stored as complex64 in Fortran order and factored in place. The columns
+    are assembled LU_BLOCK at a time, each block one gather written as
+    contiguous rows of A_S^T, so no complex128 copy of A_S exists.
     """
     from scipy.linalg import lu_factor
 
     n = support.size
-    a_mat = np.empty((n, n), dtype=np.complex64, order="F")
+    a_t = np.empty((n, n), dtype=np.complex64)
     for k in range(0, n, LU_BLOCK):
         cols = slice(k, k + LU_BLOCK)
-        a_mat[:, cols] = -_gd_entries(ops, support[:, None], support[None, cols]) * chi_s[cols]
-    a_mat.flat[::n + 1] += 1.0
-    return lu_factor(a_mat, overwrite_a=True, check_finite=False)
+        np.multiply(_gd_entries(ops, support[None, :], support[cols, None]),
+                    -chi_s[cols, None], out=a_t[cols], casting="same_kind")
+    a_t.flat[::n + 1] += 1.0
+    return lu_factor(a_t.T, overwrite_a=True, check_finite=False)
 
 
 def _solve_support(chi: np.ndarray, support: np.ndarray, b: np.ndarray,
@@ -221,13 +232,15 @@ def _solve_support(chi: np.ndarray, support: np.ndarray, b: np.ndarray,
                    maxiter: int) -> tuple[np.ndarray, np.ndarray, int]:
     """E = E_inc + G_D(chi E) through one LU on the support, for all views.
 
-    Each step solves A_S d_S = r_S for the current residual r (complex64),
-    extends the correction to the grid as d = r + G_D(chi d_S), and updates
-    E += d; the residual is evaluated in complex128. Steps stop once every
-    view's relative residual is at most tol; NoConvergenceError is raised
-    after maxiter steps, or when a step does not lower the worst residual
-    (the single-precision factor is then too inaccurate to refine).
-    Returns the fields, their relative residuals and the number of steps.
+    Iterative refinement on the support unknowns E_S (complex128). Each step
+    solves A_S d_S = r_S with the complex64 factor, adds d_S to E_S and
+    applies G_D once, y = G_D(chi E): the field is E_inc + y off the support
+    and E_S on it, and the residual E_inc - E + y is zero off the support.
+    Steps stop once every view's relative residual is at most tol;
+    NoConvergenceError is raised after maxiter steps, or when a step does not
+    lower the worst residual (the single-precision factor is then too
+    inaccurate to refine). Returns the fields, their relative residuals and
+    the number of steps, which is the number of G_D applications.
     """
     from scipy.linalg import lu_solve
 
@@ -236,19 +249,22 @@ def _solve_support(chi: np.ndarray, support: np.ndarray, b: np.ndarray,
         return b.copy(), np.zeros(n_views), 0
     chi_s = chi.ravel()[support]
     factor = _support_lu(chi_s, support, ops)
-    e_tot = np.zeros_like(b)
-    resid = b.copy()
+    e_s = np.zeros((n_views, support.size), dtype=np.complex128)
+    r_s = b.reshape(n_views, -1)[:, support]
+    src = np.zeros(b.shape, dtype=np.complex128)
     worst, steps = np.inf, 0
     while True:
-        r_s = resid.reshape(n_views, -1)[:, support].T.astype(np.complex64)
-        d_s = lu_solve(factor, r_s, overwrite_b=True, check_finite=False)
-        src = np.zeros((n_views, chi.size), dtype=np.complex128)
-        src[:, support] = d_s.T * chi_s
-        e_tot += resid
-        e_tot += apply_gd(ops, src.reshape(b.shape))
+        e_s += lu_solve(factor, r_s.T.astype(np.complex64), overwrite_b=True,
+                        check_finite=False).T
+        src.reshape(n_views, -1)[:, support] = e_s * chi_s
+        e_tot = r_s = None          # the previous step's buffers, freed before G_D
+        e_tot = apply_gd(ops, src)
+        e_tot += b
+        e_flat = e_tot.reshape(n_views, -1)
+        r_s = e_flat[:, support] - e_s
+        e_flat[:, support] = e_s
         steps += 1
-        resid = _state_residual(chi, e_tot, b, ops)
-        rel = _relative_norms(resid, b)
+        rel = _relative_norms(r_s, b)
         last, worst = worst, rel.max()
         # a step that does not lower the worst residual (or a nonfinite one) ends it
         if worst <= tol or steps >= maxiter or not worst < last:
@@ -331,9 +347,12 @@ def _state_residual(chi: np.ndarray, e_tot: np.ndarray, e_inc: np.ndarray,
 
 
 def _relative_norms(r: np.ndarray, e_inc: np.ndarray) -> np.ndarray:
-    """Per-view norm of r over that of E_inc (over 1 for a zero E_inc)."""
-    num = np.sqrt(np.einsum("nij,nij->n", np.conj(r), r).real)
-    den = np.sqrt(np.einsum("nij,nij->n", np.conj(e_inc), e_inc).real)
+    """Per-view norm of r over that of E_inc (over 1 for a zero E_inc); r may
+    hold only the nonzero part of each view, shape (n_views, ...)."""
+    r = r.reshape(len(r), -1)
+    e_inc = e_inc.reshape(len(e_inc), -1)
+    num = np.sqrt(np.einsum("ij,ij->i", np.conj(r), r).real)
+    den = np.sqrt(np.einsum("ij,ij->i", np.conj(e_inc), e_inc).real)
     return num / np.where(den > 0, den, 1.0)
 
 

@@ -33,6 +33,14 @@ def test_domain_operator_matches_reference_matrix():
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
 
+def test_domain_operator_matches_reference_matrix_on_a_rectangular_grid():
+    # row and column displacements index the unwrapped kernel separately
+    cfg, grid, _, ops = _setup(m1=12, m2=20)
+    got = dense_gd_matrix(ops)
+    want = oracles.dense_domain_greens(cfg.wavenumber, grid.centers, grid.cell_size)
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+
 def test_measurement_operator_matches_reference_matrix():
     cfg, grid, arr, ops = _setup()
     want = oracles.dense_measurement_greens(cfg.wavenumber, grid.centers,
@@ -211,6 +219,27 @@ def test_gmres_and_support_solves_agree(monkeypatch):
     assert np.linalg.norm(lu.views - krylov.views) / np.linalg.norm(lu.views) < 1e-7
 
 
+def test_support_solve_reports_its_residuals_and_one_gd_application_per_step(monkeypatch):
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", 5.0, scale=0.9), grid)
+    e_inc = incident_fields(cfg, arr, grid)
+    calls = []
+
+    def counting_apply_gd(ops, x):
+        calls.append(x.shape)
+        return apply_gd(ops, x)
+
+    monkeypatch.setattr(forward, "apply_gd", counting_apply_gd)
+    got = solve_total_field(chi, e_inc, ops, tol=1e-12)
+    assert got.path == "support-lu" and got.steps >= 1
+    assert len(calls) == got.steps
+    monkeypatch.undo()
+    want = forward._relative_norms(
+        forward._state_residual(chi.values, got.views, e_inc.views, ops), e_inc.views)
+    assert got.residuals.max() <= 1e-12
+    np.testing.assert_allclose(got.residuals, want, rtol=1e-12, atol=0)
+
+
 def test_support_refinement_cap_raises():
     # one complex64 LU solve cannot reach 1e-14; the error names the steps
     # taken and the worst residual
@@ -221,6 +250,16 @@ def test_support_refinement_cap_raises():
                        match=r"6 view\(s\) above tol after 1 support LU refinement "
                              r"step\(s\) \(max residual \d\.\d{3}e-\d\d\)"):
         solve_total_field(chi, e_inc, ops, tol=1e-14, maxiter=1)
+
+
+def test_support_refinement_stall_raises():
+    # tol 0 is out of reach: refinement stops at rounding level, on the first
+    # step that does not lower the worst residual, well before the cap
+    cfg, grid, arr, ops = _setup(m1=40, m2=40)
+    chi = rasterize(builtin_scene("austria", 5.0, scale=0.9), grid)
+    e_inc = incident_fields(cfg, arr, grid)
+    with pytest.raises(NoConvergenceError, match=r"after \d support LU refinement step"):
+        solve_total_field(chi, e_inc, ops, tol=0.0, maxiter=50)
 
 
 def test_shape_mismatch_rejected():
