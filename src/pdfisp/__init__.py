@@ -6,7 +6,7 @@ truncated spectral basis of the induced currents, with the governing
 integral equations as the only supervision. Ships its own method-of-moments
 forward solver, an experiment harness, and a loader for bench measurements.
 """
-from .config import (CcoParams, ConfigError, ImagingConfig, config_from_dict,
+from .config import (ConfigError, ImagingConfig, config_from_dict,
                      config_hash, config_to_dict, load_config, save_config)
 from .forward import (FieldSet, GeometryError, NoConvergenceError, ScatteredData,
                       SimulationResult, add_awgn, build_greens, incident_fields,
@@ -19,7 +19,7 @@ from .spectral import SpectralBasis
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaArray", "CcoParams", "ComplexGrid", "ConfigError", "FieldSet",
+    "AntennaArray", "ComplexGrid", "ConfigError", "FieldSet",
     "GeometryError", "GridGeometry", "ImagingConfig", "NoConvergenceError",
     "ReconstructionResult", "ScatteredData", "Scene", "SceneError", "Shape",
     "SimulationResult", "SpectralBasis", "add_awgn", "build_array", "build_greens",

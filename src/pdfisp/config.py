@@ -14,7 +14,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 # Free-space speed of light, m/s (exact by SI definition).
@@ -23,21 +23,6 @@ C0 = 299792458.0
 
 class ConfigError(ValueError):
     """Raised when a configuration violates a physical or structural invariant."""
-
-
-@dataclass(frozen=True)
-class CcoParams:
-    """Contrast-compensation settings applied after the optimization loop.
-
-    tau, eta_max, delta shape the per-pixel gain eta = eta_max * sigmoid((|chi| - tau)/delta);
-    gf_radius (pixels) and gf_eps control the self-guided filter.
-    """
-
-    tau: float = 3.0
-    eta_max: float = 0.1
-    delta: float = 0.5
-    gf_radius: int = 2
-    gf_eps: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -67,8 +52,6 @@ class ImagingConfig:
         Adam learning rate.
     lambda1, lambda2, lambda3 : float
         Weights of the bound, total-variation, and bridge penalties.
-    cco : CcoParams
-        Post-loop contrast compensation settings.
     tau_b : float
         Amplitude threshold of the bridge penalty; > 0.
     rng_seed : int
@@ -98,7 +81,6 @@ class ImagingConfig:
     lambda1: float = 1e-3
     lambda2: float = 1e-5
     lambda3: float = 1e-5
-    cco: CcoParams = field(default_factory=CcoParams)
     tau_b: float = 0.5
     rng_seed: int = 0
     solver_tol: float = 1e-8
@@ -152,20 +134,14 @@ class ImagingConfig:
             raise ConfigError("solver_tol must be positive")
         if self.solver_maxiter < 1:
             raise ConfigError("solver_maxiter must be >= 1")
-        if self.cco.gf_radius < 1:
-            raise ConfigError("cco.gf_radius must be >= 1")
-        if self.cco.delta <= 0:
-            raise ConfigError("cco.delta must be positive")
-        if self.cco.gf_eps <= 0:
-            raise ConfigError("cco.gf_eps must be positive")
         # antennas must sit strictly outside the domain
         if self.radius <= self.doi_side * (2.0 ** 0.5) / 2.0:
             raise ConfigError("ring_radius must exceed doi_side*sqrt(2)/2")
         return self
 
 
-# the fields a single value overrides: all but the nested `cco` block
-SCALAR_FIELDS = frozenset(f.name for f in dataclasses.fields(ImagingConfig)) - {"cco"}
+# every field holds one scalar, so `--set` and study axes may override any of them
+SCALAR_FIELDS = frozenset(f.name for f in dataclasses.fields(ImagingConfig))
 
 
 # ----------------------------------------------------------------------

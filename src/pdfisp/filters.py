@@ -11,7 +11,13 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.special import expit as _sigmoid
 
-from .config import CcoParams
+# the fixed settings of `apply_cco`: gain threshold, ceiling and transition
+# width; self-guided filter radius (pixels) and ridge
+CCO_TAU = 3.0
+CCO_ETA_MAX = 0.1
+CCO_DELTA = 0.5
+CCO_RADIUS = 2
+CCO_GF_EPS = 1e-3
 
 
 def box_mean(img: np.ndarray, radius: int) -> np.ndarray:
@@ -47,15 +53,16 @@ def guided_filter(inp: np.ndarray, guide: np.ndarray, radius: int, eps_gf: float
     return box_mean(a, radius) * guide + box_mean(b, radius)
 
 
-def apply_cco(chi: np.ndarray, params: CcoParams) -> np.ndarray:
+def apply_cco(chi: np.ndarray) -> np.ndarray:
     """Contrast-compensated sharpening of a complex contrast image.
 
-    Per-pixel gain eta = eta_max * sigmoid((|chi| - tau)/delta); the output
-    is (1 + eta) * G(chi|chi) + eta * chi with G the self-guided filter
-    applied to the real and imaginary channels separately.
+    Per-pixel gain eta = CCO_ETA_MAX * sigmoid((|chi| - CCO_TAU)/CCO_DELTA);
+    the output is (1 + eta) * G(chi|chi) + eta * chi with G the self-guided
+    filter of radius CCO_RADIUS and ridge CCO_GF_EPS, applied to the real and
+    imaginary channels separately.
     """
     chi = np.asarray(chi, dtype=np.complex128)
-    eta = params.eta_max * _sigmoid((np.abs(chi) - params.tau) / params.delta)
-    smoothed = (guided_filter(chi.real, chi.real, params.gf_radius, params.gf_eps)
-                + 1j * guided_filter(chi.imag, chi.imag, params.gf_radius, params.gf_eps))
+    eta = CCO_ETA_MAX * _sigmoid((np.abs(chi) - CCO_TAU) / CCO_DELTA)
+    smoothed = (guided_filter(chi.real, chi.real, CCO_RADIUS, CCO_GF_EPS)
+                + 1j * guided_filter(chi.imag, chi.imag, CCO_RADIUS, CCO_GF_EPS))
     return (1.0 + eta) * smoothed + eta * chi

@@ -96,7 +96,7 @@ class LossContext:
             raise ValueError(
                 f"measured data has nonfinite entries: {int(bad.sum())}, in "
                 f"{int(bad.any(axis=1).sum())} of {bad.shape[0]} rows")
-        self.c_sca = _power(self._masked(self.data.matrix))
+        self.c_sca = _power(self.masked(self.data.matrix))
         self.c_inc = _power(self.e_inc)
         if self.c_sca <= 0:
             raise ZeroDataError("measured scattered power is zero")
@@ -107,28 +107,19 @@ class LossContext:
     def basis(self) -> SpectralBasis:
         return self.maps.basis
 
-    def _masked(self, rows: np.ndarray) -> np.ndarray:
+    def masked(self, rows: np.ndarray) -> np.ndarray:
+        """Receiver rows with the unmeasured entries zeroed."""
         return rows if self.data.mask is None else rows * self.data.mask
 
-    def fields(self, alpha: np.ndarray, homogeneous: bool = False):
-        """Currents J = alpha B and total fields E = E_inc + alpha K.
-
-        With homogeneous=True, E is the scattered part alpha K alone.
-        """
+    def fields(self, alpha: np.ndarray):
+        """Currents J = alpha B and total fields E = E_inc + alpha K."""
         e = self.maps.scattered_field(alpha)
-        if not homogeneous:
-            e += self.e_inc
+        e += self.e_inc
         return expand(self.basis, alpha), e
 
-    def data_residual(self, alpha: np.ndarray, homogeneous: bool = False) -> np.ndarray:
-        """Masked data residual G_S J - d, shape (n, n_rx).
-
-        homogeneous=True drops d, leaving the linear part of the map.
-        """
-        rows = self.maps.measure(alpha)
-        if not homogeneous:
-            rows = rows - self.data.matrix
-        return self._masked(rows)
+    def data_residual(self, alpha: np.ndarray) -> np.ndarray:
+        """Masked data residual G_S J - d, shape (n, n_rx)."""
+        return self.masked(self.maps.measure(alpha) - self.data.matrix)
 
     def term_values(self, r_hat: np.ndarray, sums: ViewSums,
                     data_res: np.ndarray) -> tuple[float, float]:
@@ -166,7 +157,7 @@ class LossContext:
             q = q + np.conj(g_num)
         g_e = p * e + q * j
         g_j = np.conj(q) * e + (scale * _abs2(b)) * j
-        g_rows = self._masked((2.0 / self.c_sca) * data_res)
+        g_rows = self.masked((2.0 / self.c_sca) * data_res)
         return self.maps.coefficient_grad(g_j=g_j, g_e=g_e, g_rows=g_rows)
 
 

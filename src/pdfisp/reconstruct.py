@@ -24,7 +24,7 @@ from .forward import (FieldSet, GreensOperators, ScatteredData, apply_gd,
 from .geometry import AntennaArray, ComplexGrid, GridGeometry, build_array, build_grid
 from .losses import LossBreakdown, LossContext, pipeline_forward
 from .network import (AdamState, adam_step, forward_net, grad_loss, init_network)
-from .spectral import SpectralBasis, SpectralOperators
+from .spectral import SpectralBasis, SpectralOperators, expand
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to the first
@@ -167,22 +167,22 @@ class CsiObjective:
         self.ctx = LossContext(data=self.data, e_inc=self.e_inc, maps=maps, beta=self.beta,
                                lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
 
-    def value_parts(self, alpha: np.ndarray, homogeneous: bool = False) -> tuple[float, float]:
-        """Normalized (state, data) terms at coefficients alpha.
-
-        homogeneous=True drops E_inc and d, leaving the linear part of the map.
-        """
-        fields = self.ctx.fields(alpha, homogeneous)
-        return self.ctx.term_values(self.r0, view_sums(*fields),
-                                    self.ctx.data_residual(alpha, homogeneous))
+    def value_parts(self, alpha: np.ndarray) -> tuple[float, float]:
+        """Normalized (state, data) terms at coefficients alpha."""
+        return self.ctx.term_values(self.r0, view_sums(*self.ctx.fields(alpha)),
+                                    self.ctx.data_residual(alpha))
 
     def grad(self, alpha: np.ndarray) -> np.ndarray:
         return self.ctx.residual_grad(self.r0, self.ctx.fields(alpha),
                                       self.ctx.data_residual(alpha))
 
     def curvature(self, direction: np.ndarray) -> float:
-        """Q(d) = ||A d||^2 in the normalized residual metric (homogeneous part)."""
-        return sum(self.value_parts(direction, homogeneous=True))
+        """Q(d) = ||A d||^2 in the normalized residual metric: the terms of the
+        linear part of the map, without E_inc and d."""
+        ctx = self.ctx
+        fields = expand(ctx.basis, direction), ctx.maps.scattered_field(direction)
+        return sum(ctx.term_values(self.r0, view_sums(*fields),
+                                   ctx.masked(ctx.maps.measure(direction))))
 
     def exact_step(self, grad: np.ndarray) -> float:
         """Minimizer of the objective along -grad (valid at any iterate)."""
@@ -285,7 +285,7 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     final = pipeline_forward(alpha_hat, ctx)
     final_bd = final.breakdown
     chi_hat = final.rec.chi
-    chi_cco = apply_cco(chi_hat, config.cco) if config.use_cco else chi_hat.copy()
+    chi_cco = apply_cco(chi_hat) if config.use_cco else chi_hat.copy()
     wall = time.perf_counter() - t0
 
     rel = None

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pdfisp.config import (C0, CcoParams, ConfigError, ImagingConfig, config_from_dict,
-                           config_hash, config_to_dict, load_config, save_config)
+from pdfisp.config import (C0, ConfigError, ImagingConfig, config_from_dict, config_hash,
+                           config_to_dict, load_config, save_config)
+from pdfisp.studies import spec_from_dict
 
 
 def test_defaults_validate():
@@ -41,7 +42,6 @@ def test_explicit_ring_radius_wins():
     dict(solver_maxiter=0),
     dict(solver_tol=0.0),
     dict(tau_b=0.0),
-    dict(cco=CcoParams(gf_radius=0)),
 ])
 def test_validate_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -56,8 +56,7 @@ def test_ring_must_clear_domain_corner():
 
 
 def test_json_round_trip(tmp_path):
-    cfg = ImagingConfig(frequency=1e9, m1=32, m2=48, m_f=5, lambda2=0.0,
-                        cco=CcoParams(tau=2.0, gf_radius=3), use_cco=False,
+    cfg = ImagingConfig(frequency=1e9, m1=32, m2=48, m_f=5, lambda2=0.0, use_cco=False,
                         ring_radius=4.5)
     path = tmp_path / "cfg.json"
     save_config(path, cfg)
@@ -79,13 +78,17 @@ def test_unknown_key_rejected():
 
 
 def test_reader_keeps_ints_and_rejects_wrong_types():
-    cfg = config_from_dict({"beta": 6, "ring_radius": None, "cco": {"tau": 2}})
-    assert type(cfg.beta) is int and type(cfg.cco.tau) is int      # no coercion
-    assert config_hash(cfg) == config_hash(ImagingConfig(beta=6, cco=CcoParams(tau=2)))
-    for bad in ({"beta": True}, {"m1": True}, {"use_cco": 1}, {"cco": 1},
+    cfg = config_from_dict({"beta": 6, "ring_radius": None})
+    assert type(cfg.beta) is int                                    # no coercion
+    assert config_hash(cfg) == config_hash(ImagingConfig(beta=6))
+    spec = spec_from_dict({"config": {"tau_b": 1}})                 # a nested dataclass
+    assert type(spec.config.tau_b) is int and spec.config == ImagingConfig(tau_b=1)
+    for bad in ({"beta": True}, {"m1": True}, {"use_cco": 1},
                 {"ring_radius": "3"}, {"rng_seed": None}):
         with pytest.raises(ConfigError, match=f"ImagingConfig.{next(iter(bad))}"):
             config_from_dict(bad)
+    with pytest.raises(ConfigError, match="StudySpec.config: expected ImagingConfig"):
+        spec_from_dict({"config": 1})
     # library callers are not type-checked, only checked for the invariants
     assert ImagingConfig(m1=np.int64(16), m2=16, m_f=3).m1 == 16
 

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import oracles
-from pdfisp.config import CcoParams
 from pdfisp.filters import apply_cco, box_mean, guided_filter
 
 
@@ -58,8 +57,7 @@ def test_guided_filter_large_eps_tends_to_double_box_mean():
 def test_cco_inactive_below_threshold():
     rng = np.random.default_rng(4)
     chi = 0.05 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    params = CcoParams(tau=3.0, eta_max=0.1, delta=0.5, gf_radius=2, gf_eps=1e-3)
-    out = apply_cco(chi, params)
+    out = apply_cco(chi)
     # far below tau the gain collapses: output is just the self-guided smooth
     gf = (guided_filter(chi.real, chi.real, 2, 1e-3)
           + 1j * guided_filter(chi.imag, chi.imag, 2, 1e-3))
@@ -69,8 +67,7 @@ def test_cco_inactive_below_threshold():
 def test_cco_amplifies_bright_plateau():
     chi = np.zeros((16, 16), dtype=complex)
     chi[4:12, 4:12] = 7.0
-    params = CcoParams(tau=3.0, eta_max=0.1, delta=0.5, gf_radius=2, gf_eps=1e-3)
-    out = apply_cco(chi, params)
+    out = apply_cco(chi)
     # plateau interior: guided filter is identity-like, eta saturates at eta_max
     inner = out[7:9, 7:9].real
     assert np.all(inner > 7.0 * 1.15)
@@ -79,6 +76,6 @@ def test_cco_amplifies_bright_plateau():
 
 def test_cco_preserves_shape_and_dtype():
     chi = np.zeros((8, 8), dtype=complex)
-    out = apply_cco(chi, CcoParams())
+    out = apply_cco(chi)
     assert out.shape == (8, 8) and out.dtype == np.complex128
     assert np.abs(out).max() == 0.0

@@ -357,3 +357,29 @@ def test_scattered_disk_matches_series_solution_small():
                                       arr.tx_positions, arr.rx_positions)
     rel = np.linalg.norm(sim.data.matrix - want) / np.linalg.norm(want)
     assert rel < 0.05
+
+
+# ----------------------------------------------------------------------
+# Import cost
+
+
+def test_entry_modules_load_no_scipy_solver_package():
+    """`forward` imports scipy.linalg and scipy.sparse inside the solves that
+    use them, because loading them adds tens of milliseconds to every
+    `import pdfisp` and CLI start. A fresh interpreter checks it, since this
+    one has loaded both."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pdfisp
+
+    code = ("import importlib, sys\n"
+            "for name in ('pdfisp', 'pdfisp.cli', 'pdfisp.studies'):\n"
+            "    importlib.import_module(name)\n"
+            "    print(name, sorted({'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pdfisp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == ["pdfisp []", "pdfisp.cli []", "pdfisp.studies []"]
