@@ -5,7 +5,7 @@ header, a CRC line protecting the header, a 4-byte little-endian byte-order
 marker, then raw little-endian float64 payload with real/imaginary parts
 interleaved. Round trips are bit-exact.
 
-`.emsca`  measured scattered matrices (plus an optional measurement mask)
+`.emsca`  measured scattered matrices (plus the mask, when partly measured)
 `.grid`   complex images on the imaging grid
 `.pgm`    8-bit grayscale renders (binary P5)
 """
@@ -120,13 +120,13 @@ def save_dataset(path, data: ScatteredData, meta: dict | None = None) -> None:
     n_tx, n_rx = data.matrix.shape
     header = {"n_tx": int(n_tx), "n_rx": int(n_rx), "byte_order": "little",
               "snr_db": None if data.snr_db is None else float(data.snr_db),
-              "has_mask": data.mask is not None}
+              "has_mask": not data.mask.all()}
     if meta:
         header["meta"] = meta
     with open(path, "wb") as fh:
         _write_header(fh, "EMSCA", header)
         fh.write(np.asarray(data.matrix, dtype="<c16").tobytes())
-        if data.mask is not None:
+        if header["has_mask"]:
             fh.write(np.ascontiguousarray(data.mask, dtype=np.uint8).tobytes())
 
 

@@ -69,13 +69,24 @@ class FieldSet:
 class ScatteredData:
     """Measured scattered fields, shape (n_views, n_rx).
 
-    mask marks which entries were actually measured (None means all);
-    unmeasured entries are zero and excluded from every data residual.
+    mask, a boolean array of the matrix's shape, marks the measured entries
+    (all of them when not given); `masked` is the one rule that keeps the
+    unmeasured ones, whatever they hold, out of residuals, powers and noise.
     """
 
     matrix: np.ndarray
     snr_db: float | None = None
     mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        shape, given = np.shape(self.matrix), self.mask
+        self.mask = np.ones(shape, bool) if given is None else np.asarray(given, bool)
+        if self.mask.shape != shape:
+            raise ValueError(f"mask shape {self.mask.shape} differs from matrix shape {shape}")
+
+    def masked(self, rows: np.ndarray) -> np.ndarray:
+        """Receiver rows (n_views, n_rx) with the unmeasured entries zeroed."""
+        return np.where(self.mask, rows, 0)
 
 
 @dataclass(frozen=True)
@@ -374,21 +385,19 @@ def add_awgn(data: ScatteredData, snr_db: float, rng: np.random.Generator) -> Sc
     """Inject circular white Gaussian noise at the stated signal-to-noise ratio.
 
     The expected total noise power equals the total signal power divided by
-    10^(snr_db/10), both over the measured entries (all of them without a
-    mask); unmeasured entries stay zero. An infinite snr_db returns the data
-    unchanged.
+    10^(snr_db/10), both over the measured entries; unmeasured entries get
+    no noise. An infinite snr_db returns the data unchanged.
     """
     if np.isinf(snr_db):
         return ScatteredData(matrix=data.matrix.copy(), snr_db=float("inf"), mask=data.mask)
     shape = data.matrix.shape
-    n_meas = data.matrix.size if data.mask is None else np.count_nonzero(data.mask)
-    p_sig = np.vdot(data.matrix, data.matrix).real
-    var = p_sig / (n_meas * 10.0 ** (snr_db / 10.0))
+    signal = data.masked(data.matrix)
+    p_sig = np.vdot(signal, signal).real
+    var = p_sig / (np.count_nonzero(data.mask) * 10.0 ** (snr_db / 10.0))
     s = np.sqrt(var / 2.0)
     noise = rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
-    if data.mask is not None:
-        noise = np.where(data.mask, noise, 0.0)
-    return ScatteredData(matrix=data.matrix + noise, snr_db=snr_db, mask=data.mask)
+    return ScatteredData(matrix=data.matrix + data.masked(noise), snr_db=snr_db,
+                         mask=data.mask)
 
 
 # ----------------------------------------------------------------------

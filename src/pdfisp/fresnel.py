@@ -9,10 +9,12 @@ Indices are 1-based. The geometry follows the published bistatic setup:
 transmitter i of n sits on a ring of radius 1.67 m at angle 360*(i-1)/n
 degrees; for each transmitter the receivers cover the arc from +60 to
 +300 degrees relative to it, equally spaced (241 positions means a 1
-degree step). Measured fields carry an unknown per-transmitter complex
-gain; a single calibration ratio per transmitter is fixed by matching
-the measured incident field at the diametrically opposite receiver to
-the unit line-source model.
+degree step). `arc_angles` is that rule, for the reader and the synthetic
+writer alike; over the union of receiver angles each transmitter measures
+only its arc, which the dataset's mask records. Measured fields carry an
+unknown per-transmitter complex gain; a single calibration ratio per
+transmitter is fixed by matching the measured incident field at the
+diametrically opposite receiver to the unit line-source model.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ class FresnelDataset:
     """One frequency slice of a multistatic measurement set.
 
     total/incident are (n_tx, n_rx_union) matrices over the union of
-    receiver positions; mask marks combinations actually measured.
+    receiver positions, zero where mask marks a combination unmeasured.
     calibration holds the per-transmitter complex ratio already applied
     to the scattered field.
     """
@@ -75,10 +77,11 @@ class FresnelDataset:
         return AntennaArray(tx_positions=tx, rx_positions=rx)
 
     def scattered(self) -> ScatteredData:
-        """Calibrated scattered field, unit line-source scale."""
-        sca = (self.total - self.incident) * self.calibration[:, None]
-        sca = np.where(self.mask, sca, 0.0)
-        return ScatteredData(matrix=sca, snr_db=None, mask=self.mask.copy())
+        """Calibrated scattered field, unit line-source scale, zero where unmeasured."""
+        data = ScatteredData(matrix=(self.total - self.incident) * self.calibration[:, None],
+                             mask=self.mask.copy())
+        data.matrix = data.masked(data.matrix)
+        return data
 
 
 def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
@@ -107,6 +110,14 @@ def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
     return records
 
 
+def arc_angles(n_tx: int, n_rx_per_tx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transmitter angles (n_tx,) and the absolute angle of receiver j of
+    transmitter i, (n_tx, n_rx_per_tx), in degrees rounded to 1e-6."""
+    tx = 360.0 * np.arange(n_tx) / n_tx
+    step = (ARC_END_DEG - ARC_START_DEG) / (n_rx_per_tx - 1)
+    return tx, np.round((tx[:, None] + ARC_START_DEG + np.arange(n_rx_per_tx) * step) % 360.0, 6)
+
+
 def to_hz(frequency: float) -> float:
     """A frequency in Hz; values below 1e3 are read as GHz for convenience."""
     return frequency * 1e9 if frequency < 1e3 else frequency
@@ -131,22 +142,14 @@ def load_fresnel(path, frequency: float) -> FresnelDataset:
     n_rx_per = max(r[2] for r in records)
     if n_rx_per < 2:
         raise FresnelParseError("need at least 2 receiver positions per transmitter")
-    tx_angles = 360.0 * np.arange(n_tx) / n_tx
-    step = (ARC_END_DEG - ARC_START_DEG) / (n_rx_per - 1)
-
-    # Absolute receiver angles, union over transmitters.
-    abs_angle = {}
-    for line_no, tx, rx, _, _, _ in records:
-        ang = (tx_angles[tx - 1] + ARC_START_DEG + (rx - 1) * step) % 360.0
-        abs_angle[(tx, rx)] = round(ang, 6)
-    rx_angles = np.array(sorted(set(abs_angle.values())))
-    col = {a: i for i, a in enumerate(rx_angles)}
+    tx_angles, arc = arc_angles(n_tx, n_rx_per)
+    # union of the records' receiver angles; col[k] is record k's column in it
+    rx_angles, col = np.unique([arc[r[1] - 1, r[2] - 1] for r in records], return_inverse=True)
 
     total = np.zeros((n_tx, len(rx_angles)), dtype=np.complex128)
     incident = np.zeros_like(total)
     mask = np.zeros(total.shape, dtype=bool)
-    for line_no, tx, rx, _, tot, inc in records:
-        j = col[abs_angle[(tx, rx)]]
+    for (line_no, tx, rx, _, tot, inc), j in zip(records, col):
         if mask[tx - 1, j]:
             raise FresnelParseError(f"line {line_no}: duplicate record tx={tx} rx={rx}")
         total[tx - 1, j] = tot
@@ -228,20 +231,17 @@ def write_synthetic_foamdiel(path, frequency: float = 2e9, n_tx: int = 8,
     so a reload reproduces the matrices bit-exactly.
     """
     rng = np.random.default_rng(seed)
-    cfg = ImagingConfig(frequency=frequency, doi_side=0.2, m1=gen_cells,
-                        m2=gen_cells, n_tx=n_tx, n_rx=360, ring_radius=RING_RADIUS)
-    tx_angles = 360.0 * np.arange(n_tx) / n_tx
-    rx_angles = np.arange(360.0)
+    tx_angles, arc = arc_angles(n_tx, n_rx_per_tx)
+    rx_angles, col = np.unique(arc, return_inverse=True)
+    col = col.reshape(arc.shape)               # column of each written (tx, rx) pair
+    cfg = ImagingConfig(frequency=frequency, doi_side=0.2, m1=gen_cells, m2=gen_cells,
+                        n_tx=n_tx, n_rx=len(rx_angles), ring_radius=RING_RADIUS)
     array = AntennaArray(tx_positions=ring_points(np.deg2rad(tx_angles), RING_RADIUS),
                          rx_positions=ring_points(np.deg2rad(rx_angles), RING_RADIUS))
     sim = simulate(cfg, foamdiel_scene(), rng=rng, array=array)
-    sca = sim.data.matrix                       # (n_tx, 360)
-
-    d = np.linalg.norm(array.rx_positions[None, :, :] - array.tx_positions[:, None, :],
-                       axis=-1)
-    # a receiver can share an angle with the transmitter; those columns are
-    # outside the written arc, so give them a dummy distance
-    inc = line_source(cfg.wavenumber, np.where(d > 0, d, 1.0))
+    sca = np.take_along_axis(sim.data.matrix, col, axis=1)      # (n_tx, n_rx_per_tx)
+    d = np.linalg.norm(array.rx_positions[col] - array.tx_positions[:, None, :], axis=-1)
+    inc = line_source(cfg.wavenumber, d)
 
     mag = rng.uniform(0.5, 2.0, size=n_tx)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=n_tx)
@@ -249,15 +249,12 @@ def write_synthetic_foamdiel(path, frequency: float = 2e9, n_tx: int = 8,
     total_meas = gains[:, None] * (inc + sca)
     inc_meas = gains[:, None] * inc
 
-    step = (ARC_END_DEG - ARC_START_DEG) / (n_rx_per_tx - 1)
     ghz = frequency / 1e9
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# synthetic bistatic measurement, TM polarization\n")
         fh.write("# columns: tx rx freq_GHz re_total im_total re_inc im_inc\n")
         for t in range(n_tx):
             for j in range(n_rx_per_tx):
-                ang = (tx_angles[t] + ARC_START_DEG + j * step) % 360.0
-                c = int(round(ang)) % 360
                 fh.write(f"{t + 1} {j + 1} {ghz:.17g} "
-                         f"{total_meas[t, c].real:.17g} {total_meas[t, c].imag:.17g} "
-                         f"{inc_meas[t, c].real:.17g} {inc_meas[t, c].imag:.17g}\n")
+                         f"{total_meas[t, j].real:.17g} {total_meas[t, j].imag:.17g} "
+                         f"{inc_meas[t, j].real:.17g} {inc_meas[t, j].imag:.17g}\n")

@@ -72,9 +72,9 @@ class LossContext:
     `maps` holds the precomputed coefficient-space operators of one
     geometry and spectral basis (`reconstruct.Problem` builds them once);
     the basis is read from it. `c_sca` and `c_inc` are the measured
-    (masked) and incident powers over all views jointly, the normalizers
-    of the data and state terms. Data with a nonfinite entry, masked or
-    not, is rejected here, before any loss is evaluated.
+    (`data.masked`) and incident powers over all views jointly, the
+    normalizers of the data and state terms. Data with a nonfinite entry,
+    measured or not, is rejected here, before any loss is evaluated.
     """
 
     data: ScatteredData
@@ -96,7 +96,7 @@ class LossContext:
             raise ValueError(
                 f"measured data has nonfinite entries: {int(bad.sum())}, in "
                 f"{int(bad.any(axis=1).sum())} of {bad.shape[0]} rows")
-        self.c_sca = _power(self.masked(self.data.matrix))
+        self.c_sca = _power(self.data.masked(self.data.matrix))
         self.c_inc = _power(self.e_inc)
         if self.c_sca <= 0:
             raise ZeroDataError("measured scattered power is zero")
@@ -107,10 +107,6 @@ class LossContext:
     def basis(self) -> SpectralBasis:
         return self.maps.basis
 
-    def masked(self, rows: np.ndarray) -> np.ndarray:
-        """Receiver rows with the unmeasured entries zeroed."""
-        return rows if self.data.mask is None else rows * self.data.mask
-
     def fields(self, alpha: np.ndarray):
         """Currents J = alpha B and total fields E = E_inc + alpha K."""
         e = self.maps.scattered_field(alpha)
@@ -119,7 +115,7 @@ class LossContext:
 
     def data_residual(self, alpha: np.ndarray) -> np.ndarray:
         """Masked data residual G_S J - d, shape (n, n_rx)."""
-        return self.masked(self.maps.measure(alpha) - self.data.matrix)
+        return self.data.masked(self.maps.measure(alpha) - self.data.matrix)
 
     def term_values(self, r_hat: np.ndarray, sums: ViewSums,
                     data_res: np.ndarray) -> tuple[float, float]:
@@ -157,7 +153,7 @@ class LossContext:
             q = q + np.conj(g_num)
         g_e = p * e + q * j
         g_j = np.conj(q) * e + (scale * _abs2(b)) * j
-        g_rows = self.masked((2.0 / self.c_sca) * data_res)
+        g_rows = self.data.masked((2.0 / self.c_sca) * data_res)
         return self.maps.coefficient_grad(g_j=g_j, g_e=g_e, g_rows=g_rows)
 
 

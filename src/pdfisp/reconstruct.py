@@ -124,11 +124,9 @@ def bp_initialize(data: ScatteredData, e_inc: FieldSet, ops: GreensOperators,
     - d||; the contrast follows from the per-pixel least squares over the
     induced fields, and the modified contrast from the contraction mapping.
     """
-    d = data.matrix if data.mask is None else data.matrix * data.mask
+    d = data.masked(data.matrix)
     b = apply_gs_adjoint(ops, d)
-    w = b.reshape(d.shape[0], -1) @ ops.gs_matrix.T
-    if data.mask is not None:
-        w = w * data.mask
+    w = data.masked(b.reshape(d.shape[0], -1) @ ops.gs_matrix.T)
     num = np.einsum("nr,nr->n", np.conj(w), d)
     den = np.einsum("nr,nr->n", np.conj(w), w).real
     gamma = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -182,7 +180,7 @@ class CsiObjective:
         ctx = self.ctx
         fields = expand(ctx.basis, direction), ctx.maps.scattered_field(direction)
         return sum(ctx.term_values(self.r0, view_sums(*fields),
-                                   ctx.masked(ctx.maps.measure(direction))))
+                                   ctx.data.masked(ctx.maps.measure(direction))))
 
     def exact_step(self, grad: np.ndarray) -> float:
         """Minimizer of the objective along -grad (valid at any iterate)."""

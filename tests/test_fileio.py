@@ -35,7 +35,7 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     save_dataset(path, data, meta={"scene": "austria"})
     back, meta = load_dataset(path)
     assert np.array_equal(back.matrix, data.matrix)
-    assert back.mask is None and back.snr_db is None
+    assert back.mask.all() and back.snr_db is None
     assert meta == {"scene": "austria"}
 
 
@@ -47,6 +47,16 @@ def test_dataset_round_trip_with_mask(tmp_path):
     assert np.array_equal(back.matrix, data.matrix)
     assert np.array_equal(back.mask, data.mask)
     assert back.snr_db == 5.0 and meta == {}
+
+
+def test_all_true_mask_saves_like_no_mask(tmp_path):
+    data = _dataset()
+    save_dataset(tmp_path / "a.emsca", data)
+    save_dataset(tmp_path / "b.emsca", ScatteredData(matrix=data.matrix,
+                                                     mask=np.ones((4, 6), dtype=bool)))
+    raw = (tmp_path / "b.emsca").read_bytes()
+    assert raw == (tmp_path / "a.emsca").read_bytes()
+    assert b'"has_mask": false' in raw
 
 
 def test_dataset_round_trip_keeps_signed_zeros_and_nonfinite_parts(tmp_path):

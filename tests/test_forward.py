@@ -308,15 +308,28 @@ def test_awgn_deterministic_and_infinite_passthrough():
 
 
 def test_awgn_respects_the_mask():
+    """The SNR holds over the measured entries; unmeasured ones, nonzero here,
+    neither set the noise level nor get noise."""
     rng = np.random.default_rng(11)
     mask = rng.random((200, 200)) < 0.5
-    clean = np.where(mask, rng.standard_normal(mask.shape)
-                     + 1j * rng.standard_normal(mask.shape), 0.0)
+    clean = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+    clean[~mask] *= 10.0
     noisy = add_awgn(ScatteredData(matrix=clean, mask=mask), 10.0, np.random.default_rng(0))
-    assert np.all(noisy.matrix[~mask] == 0)
+    assert np.array_equal(noisy.matrix[~mask], clean[~mask])
     noise = (noisy.matrix - clean)[mask]
-    want = np.vdot(clean, clean).real / 10.0
-    assert np.vdot(noise, noise).real == pytest.approx(want, rel=0.05)
+    snr = 10.0 * np.log10(np.vdot(clean[mask], clean[mask]).real / np.vdot(noise, noise).real)
+    assert abs(snr - 10.0) <= 0.2
+
+
+def test_mask_of_another_shape_rejected():
+    with pytest.raises(ValueError, match=r"mask shape \(4, 5\).*matrix shape \(4, 6\)"):
+        ScatteredData(matrix=np.ones((4, 6), dtype=complex), mask=np.ones((4, 5), dtype=bool))
+
+
+def test_mask_is_a_boolean_array_all_true_by_default():
+    data = ScatteredData(matrix=np.ones((3, 5), dtype=complex), mask=[[1, 0, 1, 1, 1]] * 3)
+    assert data.mask.dtype == bool and data.mask.sum() == 12
+    assert ScatteredData(matrix=np.ones((3, 5))).mask.all()
 
 
 # ----------------------------------------------------------------------

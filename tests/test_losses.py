@@ -117,11 +117,10 @@ def _dense_terms(setup, alpha, r_hat, data, homogeneous=False):
     spec[:, rows, cols] = alpha
     j = np.stack([oracles.idft2_direct(s) for s in spec]).reshape(n, -1)
     k0, centers, cs = setup.config.wavenumber, setup.grid.centers, setup.grid.cell_size
-    mask = np.ones(data.matrix.shape) if data.mask is None else data.mask
     return oracles.loss_residual_terms(
         j, setup.e_inc.views.reshape(n, -1), oracles.dense_domain_greens(k0, centers, cs),
         oracles.dense_measurement_greens(k0, centers, cs, setup.array.rx_positions),
-        np.ravel(r_hat), setup.config.beta, data.matrix, mask, homogeneous=homogeneous)
+        np.ravel(r_hat), setup.config.beta, data.matrix, data.mask, homogeneous=homogeneous)
 
 
 def _frozen_objective(setup, data, r0):

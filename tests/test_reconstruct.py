@@ -118,7 +118,7 @@ def test_descent_stops_once_converged(tiny_setup, tiny_sim):
         j = expand(setup.basis, alpha).reshape(n, -1)
         state = oracles.state_residuals(j, 0.0 if homogeneous else e_inc, gd,
                                         obj.r0.ravel(), obj.beta)
-        data = ctx.masked(ctx.maps.measure(alpha) - (0.0 if homogeneous else ctx.data.matrix))
+        data = ctx.data.masked(ctx.maps.measure(alpha) - (0.0 if homogeneous else ctx.data.matrix))
         return np.concatenate([state / np.sqrt(ctx.c_inc), data / np.sqrt(ctx.c_sca)], axis=1)
 
     a = np.stack([stacked(np.tile(e, (n, 1)), True) for e in np.eye(m0)], axis=-1)
