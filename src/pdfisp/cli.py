@@ -46,13 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="imaging config JSON")
-    p.add_argument("--seed", type=int, help="override config rng_seed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config field (repeatable)")
 
 
 def _overrides(args) -> dict:
-    """The --set and --seed values, parsed as JSON where they parse (else strings)."""
+    """The --set values, parsed as JSON where they parse (else strings)."""
     out = {}
     for entry in args.set:
         key, sep, raw = entry.partition("=")
@@ -64,8 +63,6 @@ def _overrides(args) -> dict:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
-    if args.seed is not None:
-        out["rng_seed"] = args.seed
     return out
 
 
@@ -157,8 +154,7 @@ def _cmd_study(args, argv) -> int:
 def _cmd_fresnel(args, argv) -> int:
     t0 = time.perf_counter()
     if args.write_synthetic:
-        write_synthetic_foamdiel(args.write_synthetic, frequency=to_hz(args.freq),
-                                 seed=args.seed if args.seed is not None else 7)
+        write_synthetic_foamdiel(args.write_synthetic, frequency=to_hz(args.freq))
         if not args.file:
             return 0
     if not args.file:
@@ -249,7 +245,6 @@ def build_parser() -> _Parser:
     p.add_argument("--freq", type=float, default=5.0,
                    help="frequency to invert, Hz (values < 1e3 mean GHz); the 5 GHz "
                         "default balances resolution against contrast recovery")
-    p.add_argument("--seed", type=int)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--vmin", type=float, default=1.0)
     p.add_argument("--vmax", type=float, default=None)

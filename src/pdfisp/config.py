@@ -52,16 +52,10 @@ class ImagingConfig:
         Adam learning rate.
     lambda1, lambda2, lambda3 : float
         Weights of the bound, total-variation, and bridge penalties.
-    tau_b : float
-        Amplitude threshold of the bridge penalty; > 0.
     rng_seed : int
         Seed controlling all randomness of a run.
-    solver_tol, solver_maxiter
-        Forward solve stopping rule: relative state-equation residual (> 0),
-        and the cap on steps (>= 1). A support (nonzero-contrast cells) of at
-        most 2048 cells is LU-solved, and solver_maxiter caps its refinement
-        steps; a larger one runs GMRES, and solver_maxiter caps the
-        iterations per view.
+    solver_tol : float
+        Forward solve stopping rule: relative state-equation residual; > 0.
     use_cco, fine_forward
         Ablation / modeling switches. ``fine_forward`` simulates measurement
         data on a 2x finer grid to avoid committing the inverse crime.
@@ -81,10 +75,8 @@ class ImagingConfig:
     lambda1: float = 1e-3
     lambda2: float = 1e-5
     lambda3: float = 1e-5
-    tau_b: float = 0.5
     rng_seed: int = 0
     solver_tol: float = 1e-8
-    solver_maxiter: int = 2000
     use_cco: bool = True
     fine_forward: bool = False
 
@@ -128,12 +120,8 @@ class ImagingConfig:
             raise ConfigError("k_iters must be >= 0")
         if self.learn_rate <= 0:
             raise ConfigError("learn_rate must be positive")
-        if self.tau_b <= 0:
-            raise ConfigError("tau_b must be positive")
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
-        if self.solver_maxiter < 1:
-            raise ConfigError("solver_maxiter must be >= 1")
         # antennas must sit strictly outside the domain
         if self.radius <= self.doi_side * (2.0 ** 0.5) / 2.0:
             raise ConfigError("ring_radius must exceed doi_side*sqrt(2)/2")

@@ -330,10 +330,11 @@ def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
     """Solve the state equation E = E_inc + G_D(chi * E) for every view.
 
     Every path stops at relative residual tol and raises NoConvergenceError
-    past maxiter steps. A support of at most DENSE_MAX_CELLS cells is
-    LU-solved for all views at once and refined (at most maxiter refinement
-    steps); a larger one runs restarted GMRES per view with the FFT-applied
-    G_D (at most maxiter iterations per view).
+    past the cap maxiter, whose default is the one `simulate` runs with. A
+    support of at most DENSE_MAX_CELLS cells is LU-solved for all views at
+    once and refined, and maxiter caps the refinement steps; a larger one
+    runs restarted GMRES per view with the FFT-applied G_D, and maxiter caps
+    the iterations per view.
     """
     chi_arr = chi.values
     b = e_inc.views
@@ -447,8 +448,7 @@ def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),
     ops = build_greens(sim_cfg, array, grid)
     e_inc = incident_fields(sim_cfg, array, grid)
 
-    e_tot = solve_total_field(chi_sim, e_inc, ops, tol=sim_cfg.solver_tol,
-                              maxiter=sim_cfg.solver_maxiter)
+    e_tot = solve_total_field(chi_sim, e_inc, ops, tol=sim_cfg.solver_tol)
     data = synthesize_scattered(chi_sim, e_tot, ops)
     worst = float(e_tot.residuals.max())
     if worst > sim_cfg.solver_tol * 10:

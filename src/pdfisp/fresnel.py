@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import C0, ImagingConfig, config_from_dict
+from .config import C0, ConfigError, ImagingConfig, config_from_dict
 from .forward import ScatteredData, line_source, simulate
 from .geometry import AntennaArray, ring_points
 from .scenes import Scene, Shape
@@ -30,6 +30,7 @@ from .scenes import Scene, Shape
 RING_RADIUS = 1.67          # meters, transmitter and receiver circles
 ARC_START_DEG = 60.0        # receiver arc relative to the transmitter
 ARC_END_DEG = 300.0
+GAIN_SEED = 7               # per-transmitter gains of the synthetic writer
 
 
 class FresnelError(Exception):
@@ -113,6 +114,9 @@ def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
 def arc_angles(n_tx: int, n_rx_per_tx: int) -> tuple[np.ndarray, np.ndarray]:
     """Transmitter angles (n_tx,) and the absolute angle of receiver j of
     transmitter i, (n_tx, n_rx_per_tx), in degrees rounded to 1e-6."""
+    if n_rx_per_tx < 2:
+        raise FresnelParseError(
+            f"need at least 2 receiver positions per transmitter, got {n_rx_per_tx}")
     tx = 360.0 * np.arange(n_tx) / n_tx
     step = (ARC_END_DEG - ARC_START_DEG) / (n_rx_per_tx - 1)
     return tx, np.round((tx[:, None] + ARC_START_DEG + np.arange(n_rx_per_tx) * step) % 360.0, 6)
@@ -139,10 +143,7 @@ def load_fresnel(path, frequency: float) -> FresnelDataset:
     records = [r for r in records if abs(r[3] * 1e9 - f_hz) <= 1e-6 * f_hz]
 
     n_tx = max(r[1] for r in records)
-    n_rx_per = max(r[2] for r in records)
-    if n_rx_per < 2:
-        raise FresnelParseError("need at least 2 receiver positions per transmitter")
-    tx_angles, arc = arc_angles(n_tx, n_rx_per)
+    tx_angles, arc = arc_angles(n_tx, max(r[2] for r in records))
     # union of the records' receiver angles; col[k] is record k's column in it
     rx_angles, col = np.unique([arc[r[1] - 1, r[2] - 1] for r in records], return_inverse=True)
 
@@ -190,11 +191,17 @@ def load_fresnel(path, frequency: float) -> FresnelDataset:
 def fresnel_config(dataset: FresnelDataset, **overrides) -> ImagingConfig:
     """Defaults for inverting a bench measurement: 0.2 m domain, 64x64.
 
-    The overrides are read like config JSON (see `config.from_dict`).
+    The overrides are read like config JSON (see `config.from_dict`). The
+    dataset fixes the frequency and the antennas, so an override of one of
+    those fields raises ConfigError; the frequency slice is chosen when the
+    file is loaded.
     """
-    base = dict(frequency=dataset.frequency, doi_side=0.2, m1=64, m2=64,
-                n_tx=dataset.n_tx, n_rx=dataset.n_rx, ring_radius=RING_RADIUS)
-    return config_from_dict({**base, **overrides})
+    fixed = dict(frequency=dataset.frequency, n_tx=dataset.n_tx, n_rx=dataset.n_rx,
+                 ring_radius=RING_RADIUS)
+    clash = sorted(set(fixed) & set(overrides))
+    if clash:
+        raise ConfigError(f"fresnel: {', '.join(clash)} fixed by the dataset, not settable")
+    return config_from_dict({"doi_side": 0.2, "m1": 64, "m2": 64, **overrides, **fixed})
 
 
 def fresnel_reconstruct(dataset: FresnelDataset, **overrides):
@@ -220,17 +227,16 @@ def foamdiel_scene() -> Scene:
 
 
 def write_synthetic_foamdiel(path, frequency: float = 2e9, n_tx: int = 8,
-                             n_rx_per_tx: int = 241, gen_cells: int = 96,
-                             seed: int = 7) -> None:
+                             n_rx_per_tx: int = 241, gen_cells: int = 96) -> None:
     """Emit a measurement file in the ASCII format above.
 
     The fields come from the built-in forward solver on a generation grid
     (gen_cells, default 96) distinct from the usual 64-cell inversion grid,
-    with a random complex gain per transmitter so the calibration path is
-    exercised, and no noise. Floats are written with 17 significant digits
-    so a reload reproduces the matrices bit-exactly.
+    with a random complex gain per transmitter (drawn from GAIN_SEED) so the
+    calibration path is exercised, and no noise. Floats are written with 17
+    significant digits so a reload reproduces the matrices bit-exactly.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GAIN_SEED)
     tx_angles, arc = arc_angles(n_tx, n_rx_per_tx)
     rx_angles, col = np.unique(arc, return_inverse=True)
     col = col.reshape(arc.shape)               # column of each written (tx, rx) pair

@@ -62,11 +62,12 @@ class ComplexGrid:
 def build_grid(config: ImagingConfig) -> GridGeometry:
     """Lay out cell centers tiling the domain of interest uniformly.
 
-    Centers are symmetric about the origin; cell_size = doi_side / m1.
+    Cells are square with cell_size = doi_side / m1, so the rows span
+    doi_side and the columns m2 cells; both are centred on the origin.
     """
     cs = config.doi_side / config.m1
     half = config.doi_side / 2.0
-    xs = -half + cs * (np.arange(config.m2) + 0.5)
+    xs = -half * (config.m2 / config.m1) + cs * (np.arange(config.m2) + 0.5)
     ys = -half + cs * (np.arange(config.m1) + 0.5)
     gx, gy = np.meshgrid(xs, ys)  # row-major: gy varies down rows
     centers = np.stack([gx.ravel(), gy.ravel()], axis=1)

@@ -47,6 +47,7 @@ from .forward import ScatteredData
 from .spectral import SpectralBasis, SpectralOperators, expand
 
 EPS_TV = 1e-12  # smoothing inside the TV square root
+BRIDGE_TAU = 0.5  # amplitude threshold of the bridge penalty, see `bridge_term`
 
 
 class ZeroDataError(ValueError):
@@ -82,7 +83,6 @@ class LossContext:
     maps: SpectralOperators
     beta: float
     lambdas: tuple[float, float, float]
-    tau_b: float
     c_sca: float = field(init=False)
     c_inc: float = field(init=False)
 
@@ -259,7 +259,7 @@ def pipeline_forward(alpha_hat: np.ndarray, ctx: LossContext) -> PipelineState:
 
     l_bound, g_bound = bound_term(chi)
     l_tv, g_tv = tv_term(chi)
-    l_bridge, g_bridge = bridge_term(chi, ctx.tau_b, ctx.basis.m_f)
+    l_bridge, g_bridge = bridge_term(chi, BRIDGE_TAU, ctx.basis.m_f)
     l1, l2, l3 = ctx.lambdas
     total = l_state + l_data + l1 * l_bound + l2 * l_tv + l3 * l_bridge
     penalty_grad = np.zeros_like(chi)

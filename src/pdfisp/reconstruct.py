@@ -108,8 +108,7 @@ class Problem:
         """The composite loss of `data` under this problem's config."""
         cfg = self.config
         return LossContext(data=data, e_inc=self.e_inc.views, maps=self.maps,
-                           beta=cfg.beta, lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
-                           tau_b=cfg.tau_b)
+                           beta=cfg.beta, lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +160,8 @@ class CsiObjective:
     def __post_init__(self, maps):
         if maps is None:
             maps = SpectralOperators.build(self.ops, self.basis)
-        # tau_b only shapes the bridge term, which zero weights switch off
         self.ctx = LossContext(data=self.data, e_inc=self.e_inc, maps=maps, beta=self.beta,
-                               lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
+                               lambdas=(0.0, 0.0, 0.0))
 
     def value_parts(self, alpha: np.ndarray) -> tuple[float, float]:
         """Normalized (state, data) terms at coefficients alpha."""

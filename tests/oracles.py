@@ -190,8 +190,7 @@ def truncated_truth_coefficients(config, scene) -> np.ndarray:
 
     problem = Problem.build(config)
     chi = rasterize(scene, problem.grid)
-    e_tot = solve_total_field(chi, problem.e_inc, problem.ops, tol=config.solver_tol,
-                              maxiter=config.solver_maxiter)
+    e_tot = solve_total_field(chi, problem.e_inc, problem.ops, tol=config.solver_tol)
     rows, cols = corner_indices(config.m1, config.m2, config.m_f)
     return np.stack([dft2_direct(chi.values * e)[rows, cols] for e in e_tot.views])
 

@@ -84,7 +84,7 @@ def test_single_view_state_residual_vanishes(tiny_setup, tiny_sim):
     assert np.linalg.norm(res) / np.linalg.norm(j) < 1e-6
 
     ctx = LossContext(data=ScatteredData(matrix=tiny_sim.data.matrix[:1]), e_inc=e_inc,
-                      maps=setup.maps, beta=6.0, lambdas=(0.0, 0.0, 0.0), tau_b=1.0)
+                      maps=setup.maps, beta=6.0, lambdas=(0.0, 0.0, 0.0))
     state = ctx.term_values(r_hat, rec.sums, ctx.data_residual(alpha))[0]
     assert abs(state) * ctx.c_inc / np.linalg.norm(j) ** 2 < 1e-12
 

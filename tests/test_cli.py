@@ -99,6 +99,10 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                        "ImagingConfig keys: ['cco']"),
     "config freeze_r": ([*SIM, "austria:2", "--config", "{d}/freeze_r.json"],
                         "ImagingConfig keys: ['freeze_r']"),
+    "config tau_b": ([*SIM, "austria:2", "--config", "{d}/tau_b.json"],
+                     "ImagingConfig keys: ['tau_b']"),
+    "config solver_maxiter": ([*SIM, "austria:2", "--config", "{d}/solver_maxiter.json"],
+                              "ImagingConfig keys: ['solver_maxiter']"),
     "data nan": (["reconstruct", *TINY, "--data", "{d}/nan.emsca"],
                  "nonfinite entries: 1, in 1 of 8 rows"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
@@ -124,6 +128,8 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
     _json(tmp_path / "m1.json", {"m1": "64"})
     _json(tmp_path / "cco.json", {"cco": {}})
     _json(tmp_path / "freeze_r.json", {"freeze_r": False})
+    _json(tmp_path / "tau_b.json", {"tau_b": 0.5})
+    _json(tmp_path / "solver_maxiter.json", {"solver_maxiter": 2000})
     matrix = np.ones((8, 8), dtype=complex)
     matrix[3, 5] = np.nan
     save_dataset(tmp_path / "nan.emsca", ScatteredData(matrix=matrix))
@@ -191,9 +197,21 @@ def test_simulate_manifest_contents(sim_dir):
 def test_seed_flag_lands_in_config_and_manifest(tmp_path):
     d = tmp_path / "seeded"
     assert main(["simulate", "--scene", "austria:2.0:0.9", *TINY,
-                 "--seed", "3", "--out", str(d)]) == 0
+                 "--set", "rng_seed=3", "--out", str(d)]) == 0
     assert load_config(d / "config.json").rng_seed == 3
     assert load_manifest(d / "manifest.json")["seed"] == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scene", "austria:2.0:0.9", *TINY],
+    ["reconstruct", "--data", "data.emsca"],
+    ["fresnel", "--file", "s.exp"],
+])
+def test_seed_flag_is_gone(command, tmp_path, capsys):
+    # `--set rng_seed=N` is the one setter of the run seed
+    assert main([*command, "--seed", "3", "--out", str(tmp_path / "o")]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_set_accepts_json_values(tmp_path):
@@ -321,6 +339,19 @@ def test_fresnel_reconstruct_run(foamdiel_file, tmp_path):
         assert (d / name).exists()
     cfg = load_config(d / "config.json")
     assert cfg.m1 == 16 and cfg.frequency == 5e9
+
+
+@pytest.mark.parametrize("assignment", ["frequency=3e9", "n_tx=4", "n_rx=4",
+                                        "ring_radius=3"])
+def test_fresnel_dataset_fields_not_settable(assignment, foamdiel_file, tmp_path, capsys):
+    field = assignment.partition("=")[0]
+    code = main(["fresnel", "--file", str(foamdiel_file), "--freq", "5.0",
+                 "--set", "m1=16", "--set", "m2=16", "--set", "m_f=3", "--set", "k_iters=2",
+                 "--set", assignment, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_fresnel_requires_file_for_inversion(capsys):

@@ -39,9 +39,9 @@ def test_explicit_ring_radius_wins():
     dict(k_iters=-1),
     dict(learn_rate=0.0),
     dict(ring_radius=1.0),        # inside the circumscribed circle of the domain
-    dict(solver_maxiter=0),
     dict(solver_tol=0.0),
-    dict(tau_b=0.0),
+    dict(n_rx=0),
+    dict(lambda2=-1e-5),
 ])
 def test_validate_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -81,8 +81,8 @@ def test_reader_keeps_ints_and_rejects_wrong_types():
     cfg = config_from_dict({"beta": 6, "ring_radius": None})
     assert type(cfg.beta) is int                                    # no coercion
     assert config_hash(cfg) == config_hash(ImagingConfig(beta=6))
-    spec = spec_from_dict({"config": {"tau_b": 1}})                 # a nested dataclass
-    assert type(spec.config.tau_b) is int and spec.config == ImagingConfig(tau_b=1)
+    spec = spec_from_dict({"config": {"doi_side": 1}})              # a nested dataclass
+    assert type(spec.config.doi_side) is int and spec.config == ImagingConfig(doi_side=1)
     for bad in ({"beta": True}, {"m1": True}, {"use_cco": 1},
                 {"ring_radius": "3"}, {"rng_seed": None}):
         with pytest.raises(ConfigError, match=f"ImagingConfig.{next(iter(bad))}"):

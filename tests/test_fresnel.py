@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
+from pdfisp.config import ConfigError
 from pdfisp.fresnel import (FresnelError, FresnelParseError, MissingFrequencyError,
                             foamdiel_scene, fresnel_config, fresnel_reconstruct,
                             load_fresnel, write_synthetic_foamdiel)
@@ -143,6 +144,12 @@ def test_scattered_is_zero_outside_mask(foamdiel_file):
     assert np.abs(sca.matrix[sca.mask]).min() > 0
 
 
+def test_writer_needs_two_receivers_per_transmitter(tmp_path):
+    with pytest.raises(FresnelParseError, match="got 1"):
+        write_synthetic_foamdiel(tmp_path / "one.exp", n_rx_per_tx=1)
+    assert not (tmp_path / "one.exp").exists()
+
+
 def test_generator_is_deterministic(tmp_path):
     a = tmp_path / "a.exp"
     b = tmp_path / "b.exp"
@@ -173,6 +180,14 @@ def test_fresnel_config_defaults(foamdiel_file):
     assert (cfg.n_tx, cfg.n_rx) == (8, 360)
     small = fresnel_config(ds, m1=32, m2=32)
     assert small.m1 == 32
+
+
+@pytest.mark.parametrize("field", ["frequency", "n_tx", "n_rx", "ring_radius"])
+def test_reconstruct_refuses_dataset_fields(field, foamdiel_file):
+    # even an override equal to the dataset's value is refused
+    ds = load_fresnel(foamdiel_file, 5.0)
+    with pytest.raises(ConfigError, match=field):
+        fresnel_reconstruct(ds, **{field: getattr(fresnel_config(ds), field)})
 
 
 def test_fresnel_reconstruct_smoke(foamdiel_file):

@@ -12,9 +12,9 @@ def test_grid_centers_row_major():
     assert grid.centers.shape == (24, 2)
     cs = 1.5 / 4
     assert grid.cell_size == pytest.approx(cs)
-    # entry i*m2 + j carries (x_j, y_i)
+    # entry i*m2 + j carries (x_j, y_i); six square cells span 2.25 m of x
     i, j = 2, 5
-    x = -0.75 + cs * (j + 0.5)
+    x = -1.125 + cs * (j + 0.5)
     y = -0.75 + cs * (i + 0.5)
     assert grid.centers[i * 6 + j] == pytest.approx([x, y])
 
@@ -22,6 +22,14 @@ def test_grid_centers_row_major():
 def test_grid_symmetric_about_origin():
     grid = build_grid(ImagingConfig(m1=8, m2=8, m_f=3))
     assert abs(grid.centers.mean(axis=0)).max() < 1e-12
+
+
+def test_rectangular_grid_symmetric_about_origin():
+    grid = build_grid(ImagingConfig(m1=12, m2=20, m_f=3))
+    xy = grid.centers.reshape(12, 20, 2)
+    assert np.allclose(xy[:, ::-1, 0], -xy[:, :, 0], rtol=0, atol=1e-12)
+    assert np.allclose(xy[::-1, :, 1], -xy[:, :, 1], rtol=0, atol=1e-12)
+    assert xy[0, -1, 0] == pytest.approx(1.5 / 12 * 9.5)     # 20 cells of 0.125 m
 
 
 def test_array_on_ring():
