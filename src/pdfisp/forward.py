@@ -387,9 +387,12 @@ def add_awgn(data: ScatteredData, snr_db: float, rng: np.random.Generator) -> Sc
 
     The expected total noise power equals the total signal power divided by
     10^(snr_db/10), both over the measured entries; unmeasured entries get
-    no noise. An infinite snr_db returns the data unchanged.
+    no noise. An snr_db of +inf returns the data unchanged; NaN and -inf
+    raise ValueError.
     """
-    if np.isinf(snr_db):
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    if snr_db == np.inf:
         return ScatteredData(matrix=data.matrix.copy(), snr_db=float("inf"), mask=data.mask)
     shape = data.matrix.shape
     signal = data.masked(data.matrix)
@@ -416,6 +419,12 @@ class SimulationResult:
     solver_residuals: np.ndarray
     solver_path: str
     solver_steps: int
+
+
+# the config fields `simulate` reads: configs that agree on these (and on the
+# scene and the array passed in) give the same noise-free dataset
+SIMULATE_FIELDS = ("frequency", "doi_side", "m1", "m2", "n_tx", "n_rx", "ring_radius",
+                   "solver_tol", "fine_forward")
 
 
 def simulate(config: ImagingConfig, scene: Scene, snr_db: float = float("inf"),

@@ -1,13 +1,17 @@
 """Scripted experiment harness: sweeps, noise grids, ablations, Monte Carlo.
 
-Every study is a pure function of (spec, seeds): cells are keyed by a hash
-of everything their result depends on (see _run_cells), finished cells are
-skipped on resume, failed cells are recorded as `error` rows, and seeds are
-assigned deterministically per cell, so reruns reproduce tables exactly.
+Every study is a pure function of (spec, seeds). Each kind only lists its
+cells; one runner (see _run_cells) turns any cell into a row: simulate,
+add noise, reconstruct, metrics. Cells that agree on the contrast, the
+antenna positions and the config fields `simulate` reads share one clean
+dataset, simulated on first use, so a sweep over loss weights or
+iterations solves the forward problem once. Cells are keyed by a hash of
+everything their result depends on, finished cells are skipped on resume,
+failed cells are recorded as `error` rows, and seeds are assigned
+deterministically per cell, so reruns reproduce tables exactly.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -18,7 +22,7 @@ from scipy import ndimage
 from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, config_from_dict, config_hash,
                      config_to_dict, from_dict, json_digest, read_json, write_json)
 from .fileio import write_csv
-from .forward import SimulationResult, add_awgn, simulate
+from .forward import SIMULATE_FIELDS, SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
 from .scenes import PRESET_NAMES, Scene, builtin_scene
@@ -63,6 +67,11 @@ class StudySpec:
         bad = [k for k in self.axes if k not in SCALAR_FIELDS]
         if bad:
             raise ConfigError(f"StudySpec.axes: {bad} are not scalar ImagingConfig fields")
+        negative = [s for s in self.sigmas if not s >= 0]
+        if negative:
+            raise ConfigError(f"StudySpec.sigmas: {negative} are not >= 0")
+        if self.n_realizations < 1:
+            raise ConfigError(f"StudySpec.n_realizations: {self.n_realizations} is not >= 1")
 
     def scene(self, eps: float | None = None) -> Scene:
         return builtin_scene(self.scene_name, eps_r=eps if eps is not None else self.scene_eps,
@@ -89,7 +98,7 @@ def save_study_spec(path, spec: StudySpec) -> None:
 # Shared cell machinery
 
 
-def _cell_metrics(result: ReconstructionResult) -> dict:
+def _cell_metrics(result: ReconstructionResult, chi_true: np.ndarray) -> dict:
     eps = result.eps_r.real
     return {
         "rel_error": result.rel_error,
@@ -100,6 +109,8 @@ def _cell_metrics(result: ReconstructionResult) -> dict:
         "components": count_components(eps, 1.5),
         "peak_eps": float(eps.max()),
         "min_eps": float(eps.min()),
+        "n_below_one": int(np.sum(eps < 1.0)),
+        "gap_spurious": spurious_gap_pixels(eps, chi_true),
     }
 
 
@@ -126,7 +137,15 @@ def _resume_or_run(out_dir, payload: dict, runner) -> dict:
 
 
 def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -> list[dict]:
-    """Run a study's (config, params, runner) cells in order; return their rows.
+    """Turn a study's cells into rows, in order; a cell is
+    (params, config, eps, snr_db, draw, sigma).
+
+    A cell draws from default_rng(draw): first the antenna jitter, when
+    sigma is not None, then the noise at snr_db. Its clean dataset is the
+    one of the scene at contrast eps on the (jittered) array, simulated on
+    first use and shared by every later cell with the same contrast, array
+    and SIMULATE_FIELDS values. The reconstruction uses the nominal array,
+    and the row is the params plus the cell metrics.
 
     A cell's key hashes everything its row depends on: the study name, the
     hash of the cell's config, the scene, the study seed and the cell's
@@ -135,12 +154,28 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
     whose key is already stored is loaded instead of run, and the columns
     that occur in any row are written to <name>.csv.
     """
+    clean: dict[tuple, SimulationResult] = {}
+
+    def run(params, config, eps, snr_db, draw, sigma) -> dict:
+        rng = np.random.default_rng(draw)
+        nominal = build_array(config)
+        array = nominal if sigma is None else perturb_array(nominal, sigma, rng)
+        key = (eps, *(getattr(config, f) for f in SIMULATE_FIELDS),
+               array.tx_positions.tobytes(), array.rx_positions.tobytes())
+        if key not in clean:
+            clean[key] = simulate(config, spec.scene(eps), array=array)
+        sim = clean[key]
+        data = add_awgn(sim.data, snr_db, rng)
+        result = reconstruct(config, data, array=nominal, chi_true=sim.chi_true)
+        return {**params, **_cell_metrics(result, sim.chi_true.values)}
+
     rows = []
-    for config, params, runner in cells:
+    for cell in cells:
+        params, config = cell[:2]
         payload = {"study": name, "config": config_hash(config),
                    "scene": [spec.scene_name, spec.scene_eps, spec.scene_scale],
                    "seed": spec.seed, **params}
-        rows.append(_resume_or_run(out_dir, payload, runner))
+        rows.append(_resume_or_run(out_dir, payload, lambda: run(*cell)))
     if out_dir is not None:
         columns = [c for c in columns + ["error"] if any(c in r for r in rows)]
         write_csv(Path(out_dir) / f"{name}.csv", columns, rows)
@@ -152,46 +187,27 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
 
 
 def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
-    """Cartesian sweep over config fields (e.g. beta, m_f, k_iters)."""
+    """Cartesian sweep over config fields (e.g. beta, m_f, k_iters); cell idx
+    draws its noise from default_rng(seed + idx)."""
     names = sorted(spec.axes)
-    scene = spec.scene()
     cells = []
     for idx, values in enumerate(itertools.product(*(spec.axes[n] for n in names))):
         overrides = dict(zip(names, values))
         cfg = config_from_dict({**config_to_dict(spec.config), **overrides})
-
-        def runner(cfg=cfg, idx=idx, overrides=overrides):
-            sim = simulate(cfg, scene, snr_db=spec.snr_db,
-                           rng=np.random.default_rng(spec.seed + idx))
-            result = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
-            return {**overrides, **_cell_metrics(result)}
-
-        cells.append((cfg, {"cell": idx, "snr_db": spec.snr_db, **overrides}, runner))
+        cells.append(({"cell": idx, "snr_db": spec.snr_db, **overrides}, cfg,
+                      spec.scene_eps, spec.snr_db, spec.seed + idx, None))
     return _run_cells("sweep", spec, cells, out_dir, names + METRIC_COLUMNS)
 
 
 def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
     """Noise grid: every SNR level crossed with every contrast level.
 
-    Each contrast is simulated once, on first use, and every SNR cell adds
-    its own noise draw to that clean data.
+    Each contrast is simulated once, and cell idx adds its own noise draw,
+    from default_rng(seed + idx), to that clean data.
     """
-    clean: dict[float, SimulationResult] = {}
-
-    def clean_sim(eps: float) -> SimulationResult:
-        if eps not in clean:
-            clean[eps] = simulate(spec.config, spec.scene(eps=eps))
-        return clean[eps]
-
-    cells = []
-    for idx, (snr, eps) in enumerate(itertools.product(spec.snr_grid, spec.eps_grid)):
-        def runner(snr=snr, eps=eps, idx=idx):
-            sim = clean_sim(eps)
-            data = add_awgn(sim.data, snr, np.random.default_rng(spec.seed + idx))
-            result = reconstruct(spec.config, data, chi_true=sim.chi_true)
-            return {"snr_db": snr, "eps": eps, **_cell_metrics(result)}
-
-        cells.append((spec.config, {"cell": idx, "snr_db": snr, "eps": eps}, runner))
+    cells = [({"cell": idx, "snr_db": snr, "eps": eps}, spec.config, eps, snr,
+              spec.seed + idx, None)
+             for idx, (snr, eps) in enumerate(itertools.product(spec.snr_grid, spec.eps_grid))]
     return _run_cells("noise", spec, cells, out_dir, ["snr_db", "eps"] + METRIC_COLUMNS)
 
 
@@ -218,29 +234,12 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
 
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
-    """Full pipeline versus single-switch ablations on one shared dataset,
-    simulated on first use (a fully resumed study solves nothing)."""
-    @functools.cache
-    def shared_sim() -> SimulationResult:
-        return simulate(spec.config, spec.scene(), snr_db=spec.snr_db,
-                        rng=np.random.default_rng(spec.seed))
-
+    """Full pipeline versus single-switch ablations on one shared dataset:
+    every variant draws its noise from default_rng(seed), and a fully
+    resumed study solves nothing."""
     variants = [("full", {})] + [(n, ABLATION_FLAGS[n]) for n in spec.ablations]
-    cells = []
-    for name, overrides in variants:
-        cfg = dc_replace(spec.config, **overrides)
-
-        def runner(cfg=cfg, name=name):
-            sim = shared_sim()
-            result = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
-            metrics = _cell_metrics(result)
-            eps = result.eps_r.real
-            metrics["variant"] = name
-            metrics["n_below_one"] = int(np.sum(eps < 1.0))
-            metrics["gap_spurious"] = spurious_gap_pixels(eps, sim.chi_true.values)
-            return metrics
-
-        cells.append((cfg, {"variant": name, "snr_db": spec.snr_db}, runner))
+    cells = [({"variant": name, "snr_db": spec.snr_db}, dc_replace(spec.config, **overrides),
+              spec.scene_eps, spec.snr_db, spec.seed, None) for name, overrides in variants]
     cols = ["variant", "rel_error", "peak_eps", "min_eps", "n_below_one",
             "gap_spurious", "components", "loss_data", "loss_total"]
     rows = _run_cells("ablation", spec, cells, out_dir, cols)
@@ -255,23 +254,10 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
     Returns per-sigma error lists plus five-number summaries over the
     realizations that did not fail (NaN when none succeeded).
     """
-    scene = spec.scene()
-    cells = []
-    for si, sigma in enumerate(map(float, spec.sigmas)):
-        for r in range(spec.n_realizations):
-            def runner(sigma=sigma, si=si, r=r):
-                rng = np.random.default_rng((spec.seed, si, r))
-                nominal = build_array(spec.config)
-                true_array = perturb_array(nominal, sigma, rng)
-                sim = simulate(spec.config, scene, snr_db=float("inf"), rng=rng,
-                               array=true_array)
-                result = reconstruct(spec.config, sim.data, array=nominal,
-                                     chi_true=sim.chi_true)
-                return {"sigma": sigma, "realization": r, "rel_error": result.rel_error,
-                        "wall_time": result.wall_time}
-
-            params = {"sigma": sigma, "sigma_index": si, "realization": r}
-            cells.append((spec.config, params, runner))
+    cells = [({"sigma": sigma, "sigma_index": si, "realization": r}, spec.config,
+              spec.scene_eps, float("inf"), (spec.seed, si, r), sigma)
+             for si, sigma in enumerate(map(float, spec.sigmas))
+             for r in range(spec.n_realizations)]
     rows = _run_cells("monte_carlo", spec, cells, out_dir, ["sigma", "realization", "rel_error"])
 
     out: dict[float, dict] = {}

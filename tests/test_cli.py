@@ -103,6 +103,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                      "ImagingConfig keys: ['tau_b']"),
     "config solver_maxiter": ([*SIM, "austria:2", "--config", "{d}/solver_maxiter.json"],
                               "ImagingConfig keys: ['solver_maxiter']"),
+    "snr nan": ([*SIM, "austria:2", "--snr", "nan"], "snr_db must be finite or +inf, got nan"),
+    "snr -inf": ([*SIM, "austria:2", "--snr=-inf"], "snr_db must be finite or +inf, got -inf"),
     "data nan": (["reconstruct", *TINY, "--data", "{d}/nan.emsca"],
                  "nonfinite entries: 1, in 1 of 8 rows"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
@@ -118,6 +120,9 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                               "StudySpec.scene_name"),
     "spec scene_name sweep": (["study", "--spec", "{d}/scene_sweep.json"],
                               "StudySpec.scene_name"),
+    "spec sigmas negative": (["study", "--spec", "{d}/sigmas.json"], "StudySpec.sigmas"),
+    "spec n_realizations zero": (["study", "--spec", "{d}/n_realizations.json"],
+                                 "StudySpec.n_realizations"),
     "manifest no argv": (["rerun", "--manifest", "{d}/no_argv.json"], "manifest argv"),
     "manifest no outputs": (["rerun", "--manifest", "{d}/no_outputs.json"], "manifest outputs"),
 }
@@ -141,6 +146,10 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
                                    "config": TINY_CONFIG})
     _json(tmp_path / "snr_grid.json", {"kind": "noise", "snr_grid": "abc",
                                        "config": TINY_CONFIG})
+    _json(tmp_path / "sigmas.json", {"kind": "monte_carlo", "sigmas": [-0.001],
+                                     "config": TINY_CONFIG})
+    _json(tmp_path / "n_realizations.json", {"kind": "monte_carlo", "n_realizations": 0,
+                                             "config": TINY_CONFIG})
     for kind in ("noise", "sweep"):
         _json(tmp_path / f"scene_{kind}.json", {"kind": kind, "scene_name": "nonagon",
                                                 "config": TINY_CONFIG})

@@ -305,6 +305,9 @@ def test_awgn_deterministic_and_infinite_passthrough():
     c = add_awgn(data, float("inf"), np.random.default_rng(3))
     assert np.array_equal(c.matrix, m)
     assert c.mask is data.mask
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match=f"snr_db must be finite or \\+inf, got {bad}"):
+            add_awgn(data, bad, np.random.default_rng(3))
 
 
 def test_awgn_respects_the_mask():
@@ -356,6 +359,30 @@ def test_fine_forward_leaves_truth_coarse_but_changes_data():
     num = np.linalg.norm(fine.data.matrix - coarse.data.matrix)
     den = np.linalg.norm(coarse.data.matrix)
     assert 1e-4 < num / den < 0.3      # off-grid data, same physics
+
+
+def test_simulate_reads_only_the_simulate_fields():
+    """Studies share one clean dataset between configs that agree on
+    SIMULATE_FIELDS, so no other field may change the noise-free data."""
+    import dataclasses
+
+    cfg = ImagingConfig(m1=16, m2=16, m_f=3, n_tx=8, n_rx=8).validate()
+    scene = builtin_scene("austria", 2.0, scale=0.9)
+    base = simulate(cfg, scene).data.matrix
+    names = {f.name for f in dataclasses.fields(cfg)}
+    assert set(forward.SIMULATE_FIELDS) <= names
+    others = sorted(names - set(forward.SIMULATE_FIELDS))
+    assert {"beta", "m_f", "k_iters", "rng_seed", "use_cco"} <= set(others)
+    for name in others:
+        value = getattr(cfg, name)
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, int):
+            changed = value + 1
+        else:
+            changed = 2 * value
+        data = simulate(dataclasses.replace(cfg, **{name: changed}), scene).data.matrix
+        assert np.array_equal(data, base), name
 
 
 def test_scattered_disk_matches_series_solution_small():

@@ -165,15 +165,10 @@ def test_noise_study_grid(small_spec):
     assert all(r["eps"] == 2.0 for r in rows)
 
 
-def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
-    import dataclasses
-
+def _count_solves(monkeypatch):
+    """Record the peak contrast of every forward solve."""
     import pdfisp.forward as forward
-    from pdfisp.forward import simulate
-    from pdfisp.reconstruct import reconstruct
 
-    spec = dataclasses.replace(small_spec, kind="noise", snr_grid=(float("inf"), 5.0, 1.0),
-                               eps_grid=(2.0, 3.0), seed=4)
     solves = []
     solve = forward.solve_total_field
 
@@ -182,6 +177,18 @@ def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
         return solve(chi, *args, **kwargs)
 
     monkeypatch.setattr(forward, "solve_total_field", counted)
+    return solves
+
+
+def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
+    import dataclasses
+
+    from pdfisp.forward import simulate
+    from pdfisp.reconstruct import reconstruct
+
+    spec = dataclasses.replace(small_spec, kind="noise", snr_grid=(float("inf"), 5.0, 1.0),
+                               eps_grid=(2.0, 3.0), seed=4)
+    solves = _count_solves(monkeypatch)
     rows = run_noise_study(spec)
     assert solves == [1.0, 2.0]         # chi = eps - 1 of the two contrasts
     monkeypatch.undo()
@@ -192,6 +199,32 @@ def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
                        rng=np.random.default_rng(spec.seed + idx))
         want = reconstruct(spec.config, sim.data, chi_true=sim.chi_true)
         assert row["rel_error"] == want.rel_error
+
+
+@pytest.mark.parametrize("axis, values, n_solves", [("beta", [4.0, 6.0], 1),
+                                                    ("m1", [16, 20], 2)])
+def test_sweep_solves_once_per_dataset(monkeypatch, small_spec, axis, values, n_solves):
+    """Sweep cells share one clean dataset unless the swept field is one
+    that `simulate` reads."""
+    import dataclasses
+
+    from pdfisp.forward import simulate
+    from pdfisp.reconstruct import reconstruct
+
+    spec = dataclasses.replace(small_spec, kind="sweep", axes={axis: values}, snr_db=5.0,
+                               seed=4)
+    solves = _count_solves(monkeypatch)
+    rows = run_sweep(spec)
+    assert len(solves) == n_solves
+    monkeypatch.undo()
+
+    # per-cell simulation with the same noise seeds gives the same cells
+    for idx, row in enumerate(rows):
+        cfg = dataclasses.replace(spec.config, **{axis: row[axis]})
+        sim = simulate(cfg, spec.scene(), snr_db=5.0, rng=np.random.default_rng(spec.seed + idx))
+        want = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
+        assert row["rel_error"] == want.rel_error
+        assert row["loss_total"] == want.final_loss.total
 
 
 def test_noise_study_builds_the_operators_once(small_spec, operator_builds):
