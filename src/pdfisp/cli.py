@@ -94,6 +94,7 @@ def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult
         "peak_eps": float(eps.max()),
         "min_eps": float(eps.min()),
         "components_above_1p5": count_components(eps, 1.5),
+        "views": result.n_views,
     }
     write_json(paths["metrics"], metrics)
     return [out / "config.json", paths["chi"], paths["eps_pgm"], paths["trace"],

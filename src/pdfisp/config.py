@@ -102,29 +102,27 @@ class ImagingConfig:
 
     def validate(self) -> "ImagingConfig":
         """Check invariants; return self on success, raise ConfigError otherwise."""
-        if self.frequency <= 0:
-            raise ConfigError("frequency must be positive")
-        if self.doi_side <= 0:
-            raise ConfigError("doi_side must be positive")
+        # written `not x > 0` so that NaN fails too
+        for name in ("frequency", "doi_side", "beta", "learn_rate", "solver_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"ImagingConfig.{name} must be > 0, got {value!r}")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"ImagingConfig.{name} must be >= 0, got {value!r}")
         if self.m1 < 1 or self.m2 < 1:
             raise ConfigError("grid counts must be >= 1")
         if self.n_tx < 1 or self.n_rx < 1:
             raise ConfigError("antenna counts must be >= 1")
-        if self.beta <= 0:
-            raise ConfigError("beta must be > 0")
         if self.m_f < 1 or 2 * self.m_f > min(self.m1, self.m2):
             raise ConfigError("m_f must satisfy 1 <= m_f and 2*m_f <= min(m1, m2)")
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ConfigError("loss weights must be >= 0")
         if self.k_iters < 0:
             raise ConfigError("k_iters must be >= 0")
-        if self.learn_rate <= 0:
-            raise ConfigError("learn_rate must be positive")
-        if self.solver_tol <= 0:
-            raise ConfigError("solver_tol must be positive")
         # antennas must sit strictly outside the domain
-        if self.radius <= self.doi_side * (2.0 ** 0.5) / 2.0:
-            raise ConfigError("ring_radius must exceed doi_side*sqrt(2)/2")
+        if not self.radius > self.doi_side * (2.0 ** 0.5) / 2.0:
+            raise ConfigError(f"ImagingConfig.ring_radius must exceed doi_side*sqrt(2)/2, "
+                              f"got {self.radius!r}")
         return self
 
 

@@ -2,8 +2,9 @@
 
 Stages: backprojection imaging for a coarse contrast estimate, a single
 exact-line-search step of the frozen-contrast quadratic objective to seed
-the spectral coefficients, k iterations of network-parameterized descent on
-the composite loss, per-pixel contrast recovery, and contrast-compensated
+the spectral coefficients, the principal views of noise-free data (see
+`principal_views`), k iterations of network-parameterized descent on the
+composite loss, per-pixel contrast recovery, and contrast-compensated
 post-filtering.
 """
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .spectral import SpectralBasis, SpectralOperators, expand
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to the first
+NOISE_FREE_RANK = 1e-10  # data with s_min <= this * s_0 count as noise free
+VIEW_TAIL_ENERGY = 1e-6  # principal views drop at most this share of the data's energy
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class ReconstructionResult:
     trace: list[IterationRecord]  # one entry per iteration
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
+    n_views: int                  # views the main loop ran on, see `principal_views`
     rel_error: float | None = None
 
     @property
@@ -104,10 +108,12 @@ class Problem:
             cls._cache[key] = cls(config, array, grid, ops, e_inc, basis, maps)
         return dc_replace(cls._cache[key], config=config)
 
-    def loss_context(self, data: ScatteredData) -> LossContext:
-        """The composite loss of `data` under this problem's config."""
+    def loss_context(self, data: ScatteredData, e_inc: np.ndarray | None = None) -> LossContext:
+        """The composite loss of `data` under this problem's config, with the
+        problem's incident fields unless the views `e_inc` are given."""
         cfg = self.config
-        return LossContext(data=data, e_inc=self.e_inc.views, maps=self.maps,
+        e_inc = self.e_inc.views if e_inc is None else e_inc
+        return LossContext(data=data, e_inc=e_inc, maps=self.maps,
                            beta=cfg.beta, lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
 
 
@@ -240,6 +246,46 @@ def csi_descent(obj: CsiObjective, n_views: int, target_data_loss: float,
             "state_loss": state_l}
 
 
+def principal_views(data: ScatteredData, e_inc: np.ndarray, alpha0: np.ndarray
+                    ) -> tuple[ScatteredData, np.ndarray, np.ndarray]:
+    """The data's signal-bearing view directions, or the inputs themselves.
+
+    A unitary mix U^H of the views, applied to the data rows, the incident
+    fields (n, m1, m2) and the coefficients alpha0 (n, m0), leaves every
+    loss term unchanged: the view sums, the data residual and the
+    penalties. With D = U S V^H, the rotated data rows beyond index q hold
+    only the tail energy sum_{k>=q} s_k^2, so on noise-free data, whose
+    singular values fall to rounding level (s_min <= NOISE_FREE_RANK *
+    s_0), the loop keeps the smallest q whose tail is at most
+    VIEW_TAIL_ENERGY of the total and drops the rest. Noisy data (noise
+    fills the tail), partly measured data (a mix does not keep a partial
+    mask) and data that need every view come back as the same objects.
+
+    The network is not invariant: it maps each row alone, with per-mode
+    scales shared by all rows, so the kept rows should look like views.
+    The rows of U_q^H do not (their energies span decades, and on the
+    default eps 2 data they merged the map on 10 of 40 network seeds).
+    The kept rows are therefore the orthonormal rows of the kept subspace
+    closest to q evenly spaced physical views (orthogonal Procrustes: the
+    polar factor of those views' rows of U_q), which leaves no trace of the
+    SVD's arbitrary basis and phases.
+    """
+    if not data.mask.all():
+        return data, e_inc, alpha0
+    n = data.matrix.shape[0]
+    u, s, _ = np.linalg.svd(data.matrix, full_matrices=False)
+    tail = np.cumsum((s * s)[::-1])[::-1]      # tail[k] = sum_{j>=k} s_j^2
+    q = int(np.count_nonzero(tail > VIEW_TAIL_ENERGY * tail[0]))
+    if s[-1] > NOISE_FREE_RANK * s[0] or not 0 < q < n:
+        return data, e_inc, alpha0
+    u_q = u[:, :q]
+    x, _, yh = np.linalg.svd(u_q[np.rint(np.arange(q) * n / q).astype(int)])
+    mix = (x @ yh) @ u_q.conj().T
+    rows = ScatteredData(matrix=mix @ data.matrix, snr_db=data.snr_db)
+    fields = (mix @ e_inc.reshape(n, -1)).reshape((q,) + e_inc.shape[1:])
+    return rows, fields, mix @ alpha0
+
+
 # ----------------------------------------------------------------------
 # Main loop
 
@@ -263,6 +309,9 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     _, r0 = bp_initialize(data, problem.e_inc, problem.ops, config.beta)
     alpha0 = init_alpha(r0, data, problem.e_inc, problem.ops, problem.basis, config.beta,
                         maps=problem.maps)
+    views, e_inc, alpha0 = principal_views(data, problem.e_inc.views, alpha0)
+    if views is not data:
+        ctx = problem.loss_context(views, e_inc)
 
     rng = np.random.default_rng(config.rng_seed)
     net = init_network(problem.basis.m0, rng)
@@ -290,7 +339,8 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
-                                final_loss=final_bd, wall_time=wall, rel_error=rel)
+                                final_loss=final_bd, wall_time=wall,
+                                n_views=alpha0.shape[0], rel_error=rel)
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,7 @@ SIM = ["simulate", *TINY, "--scene"]
 MALFORMED = {   # name -> (argv before --out, {d} standing for the test's directory; field)
     "set m1 text": ([*SIM, "austria:2", "--set", "m1=abc"], "ImagingConfig.m1"),
     "set beta text": ([*SIM, "austria:2", "--set", "beta=abc"], "ImagingConfig.beta"),
+    "set beta nan": ([*SIM, "austria:2", "--set", "beta=NaN"], "ImagingConfig.beta"),
     "set m1 float": ([*SIM, "austria:2", "--set", "m1=64.0"], "ImagingConfig.m1"),
     "set k_iters float": ([*SIM, "austria:2", "--set", "k_iters=2.5"], "ImagingConfig.k_iters"),
     "set use_cco text": ([*SIM, "austria:2", "--set", "use_cco=maybe"], "ImagingConfig.use_cco"),
@@ -243,6 +244,7 @@ def test_reconstruct_outputs(recon_dir):
     metrics = json.loads((recon_dir / "metrics.json").read_text())
     assert metrics["rel_error"] is not None
     assert {"final_loss", "peak_eps", "min_eps", "components_above_1p5"} <= set(metrics)
+    assert metrics["views"] == 8          # the 16x16 data are full rank: every view is kept
     assert (recon_dir / "eps_r.pgm").read_bytes().startswith(b"P5\n16 16\n255\n")
 
 
@@ -348,6 +350,8 @@ def test_fresnel_reconstruct_run(foamdiel_file, tmp_path):
         assert (d / name).exists()
     cfg = load_config(d / "config.json")
     assert cfg.m1 == 16 and cfg.frequency == 5e9
+    # partly measured data keep every view
+    assert json.loads((d / "metrics.json").read_text())["views"] == cfg.n_tx
 
 
 @pytest.mark.parametrize("assignment", ["frequency=3e9", "n_tx=4", "n_rx=4",

@@ -48,6 +48,15 @@ def test_validate_rejects(kwargs):
         ImagingConfig(**kwargs).validate()
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ImagingConfig) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validate_rejects_nan_naming_the_field(name):
+    with pytest.raises(ConfigError, match=rf"ImagingConfig\.{name} must .*got nan"):
+        ImagingConfig(**{name: math.nan})
+
+
 def test_ring_must_clear_domain_corner():
     # doi_side*sqrt(2)/2 = 1.0607 for the default 1.5 m domain
     with pytest.raises(ConfigError):

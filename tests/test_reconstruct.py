@@ -1,13 +1,16 @@
 """Initialization, the reference descent baseline, metrics, and the main loop."""
+import importlib
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from pdfisp.config import ImagingConfig
-from pdfisp.forward import simulate
-from pdfisp.reconstruct import (CsiObjective, Problem, bp_initialize, count_components,
-                                csi_descent, init_alpha, reconstruct, relative_error)
+from pdfisp.forward import ScatteredData, add_awgn, simulate
+from pdfisp.losses import loss_total
+from pdfisp.reconstruct import (VIEW_TAIL_ENERGY, CsiObjective, Problem, bp_initialize,
+                                count_components, csi_descent, init_alpha, principal_views,
+                                reconstruct, relative_error)
 from pdfisp.scenes import builtin_scene
 from pdfisp.studies import spurious_gap_pixels
 
@@ -23,7 +26,6 @@ def test_backprojection_shapes_and_zero_data(tiny_setup, tiny_sim):
     assert chi0.shape == r0.shape == (16, 16)
     assert np.isfinite(chi0).all()
 
-    from pdfisp.forward import ScatteredData
     zero = ScatteredData(matrix=np.zeros_like(tiny_sim.data.matrix))
     chi0z, r0z = bp_initialize(zero, tiny_setup.e_inc, tiny_setup.ops, 6.0)
     assert not chi0z.any() and not r0z.any()
@@ -177,6 +179,7 @@ def test_reconstruct_end_to_end_smoke(quick_cfg, tiny_sim):
     assert np.isfinite(result.final_loss.total)
     assert result.rel_error is not None and result.rel_error < 2.0
     assert result.wall_time > 0
+    assert result.n_views == 8            # the 16x16 data are full rank
     assert np.array_equal(result.eps_r, result.chi_cco.values + 1.0)
     # loss must move from the first recorded iterate
     assert result.trace[-1].total != result.trace[0].total
@@ -201,7 +204,6 @@ def test_reconstruct_without_truth_has_no_error(quick_cfg, tiny_sim):
 
 
 def test_reconstruct_rejects_mismatched_data(quick_cfg):
-    from pdfisp.forward import ScatteredData
     bad = ScatteredData(matrix=np.ones((5, 8), dtype=complex))
     with pytest.raises(ValueError):
         reconstruct(quick_cfg, bad)
@@ -221,6 +223,82 @@ def test_reconstruct_with_custom_array(quick_cfg):
     sim = simulate(quick_cfg, scene, array=true_arr)
     result = reconstruct(quick_cfg, sim.data, array=nominal, chi_true=sim.chi_true)
     assert np.isfinite(result.final_loss.total)
+
+
+# ----------------------------------------------------------------------
+# Principal views
+
+
+def test_view_rotation_leaves_the_loss_unchanged(tiny_setup, tiny_sim, tiny_ctx):
+    """Every view mixed by U^H (data rows, incident fields, coefficients):
+    the composite loss is the same, at the start and at a perturbed point."""
+    u, _, _ = np.linalg.svd(tiny_sim.data.matrix)
+    uh = u.conj().T
+    e_inc = tiny_setup.e_inc.views
+    rotated = tiny_setup.loss_context(ScatteredData(matrix=uh @ tiny_sim.data.matrix),
+                                      np.einsum("kn,nij->kij", uh, e_inc))
+    _, r0 = bp_initialize(tiny_sim.data, tiny_setup.e_inc, tiny_setup.ops, 6.0)
+    alpha0 = init_alpha(r0, tiny_sim.data, tiny_setup.e_inc, tiny_setup.ops,
+                        tiny_setup.basis, 6.0)
+    rng = np.random.default_rng(0)
+    bumped = alpha0 * (1.0 + 0.3 * rng.standard_normal(alpha0.shape))
+    for alpha in (alpha0, bumped):
+        plain, mixed = loss_total(alpha, tiny_ctx), loss_total(uh @ alpha, rotated)
+        assert mixed.total == pytest.approx(plain.total, rel=1e-12)
+        # the view sums are summed in another order, and the per-pixel
+        # contrast divides by them: single terms agree to a few 1e-12
+        for term in ("state", "data", "bound", "tv", "bridge"):
+            assert getattr(mixed, term) == pytest.approx(getattr(plain, term), rel=1e-11), term
+
+
+def test_principal_views_of_noise_free_data(default_setup, austria2_sim):
+    setup, data = default_setup, austria2_sim.data
+    # with the identity as coefficients, the helper hands back its view mix
+    views, e_inc, mix = principal_views(data, setup.e_inc.views, np.eye(36))
+    assert views.matrix.shape == (17, 36) and views.mask.all()
+    assert e_inc.shape == (17, 64, 64) and mix.shape == (17, 36)
+    assert np.abs(mix @ mix.conj().T - np.eye(17)).max() < 1e-12
+    # the dropped directions hold at most VIEW_TAIL_ENERGY of the data's energy
+    kept = np.vdot(views.matrix, views.matrix).real / np.vdot(data.matrix, data.matrix).real
+    assert 1.0 - VIEW_TAIL_ENERGY <= kept <= 1.0 + 1e-12
+    # the kept rows look like views: comparable energies (the rows of U^H
+    # span decades), as the physical rows have
+    energy = np.sum(np.abs(views.matrix) ** 2, axis=1)
+    assert energy.min() > 0.5 * energy.max()
+
+
+def test_principal_views_keep_noisy_and_masked_data(default_setup, austria2_sim):
+    """Noise fills the tail and a mix does not keep a partial mask: the
+    helper hands back its very inputs."""
+    e_inc = default_setup.e_inc.views
+    alpha0 = np.ones((36, default_setup.basis.m0), dtype=complex)
+    clean = austria2_sim.data
+    cases = [add_awgn(clean, snr, np.random.default_rng(seed))
+             for snr in (60.0, 10.0, 1.0) for seed in range(10)]
+    mask = np.ones(clean.matrix.shape, bool)
+    mask[:, :6] = False
+    cases.append(ScatteredData(matrix=clean.matrix, mask=mask))
+    for data in cases:
+        out = principal_views(data, e_inc, alpha0)
+        assert out[0] is data and out[1] is e_inc and out[2] is alpha0, data.snr_db
+
+
+def test_nonfinite_data_rejected_before_the_view_rule(quick_cfg, tiny_sim, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("principal_views ran on nonfinite data")
+
+    # the package exports the function `reconstruct` under the module's name
+    monkeypatch.setattr(importlib.import_module("pdfisp.reconstruct"), "principal_views",
+                        unreachable)
+    matrix = tiny_sim.data.matrix.copy()
+    matrix[2, 3] = np.inf
+    with pytest.raises(ValueError, match="nonfinite entries: 1, in 1 of 8 rows"):
+        reconstruct(quick_cfg, ScatteredData(matrix=matrix))
+
+
+@pytest.mark.slow
+def test_default_reconstruction_runs_on_principal_views(austria2_recon):
+    assert austria2_recon.n_views == 17
 
 
 # ----------------------------------------------------------------------
