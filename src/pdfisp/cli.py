@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: simulate, reconstruct, study, fresnel, render, rerun.
-Exit codes: 0 success, 1 usage error, 2 runtime error. Every dataset,
-reconstruction, and study run writes a manifest.json recording argv, seed,
-library versions, and sha256 hashes of inputs and outputs; `rerun` replays
-a manifest into a scratch directory and verifies the hashes match. render
-is a pure single-file transform and writes no manifest.
+Exit codes: 0 success, 1 usage error, 2 runtime error. simulate, reconstruct,
+study and fresnel write their files into --out and return them; `main` then
+writes the one manifest.json, recording argv, seed, library versions, wall
+time and sha256 hashes of the inputs (a scene file included) and of exactly
+those files. `rerun` replays a manifest into a scratch directory and checks
+the hashes; render is a pure single-file transform and writes no manifest.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .fresnel import (FresnelError, fresnel_config, load_fresnel, to_hz,
                       write_synthetic_foamdiel)
 from .reconstruct import ReconstructionResult, count_components, reconstruct
 from .scenes import resolve_scene
-from .studies import load_study_spec, run_study
+from .studies import load_study_spec, run_study, study_csvs
 
 
 class UsageError(Exception):
@@ -71,23 +72,19 @@ def _build_config(args) -> ImagingConfig:
     return config_from_dict({**config_to_dict(cfg), **_overrides(args)})
 
 
-def _finish(out_dir: Path, command: str, argv, seed, inputs, outputs, t0,
-            solver: dict | None = None) -> None:
-    fileio.write_manifest(out_dir / "manifest.json", command, argv, seed,
-                          inputs, outputs, time.perf_counter() - t0, solver=solver)
+def _write(args, files: dict) -> list[Path]:
+    """Make the --out directory, call writer(out / name) for each entry; the paths."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    return [out / name for name in files]
 
 
-def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult,
-                  vmin: float, vmax: float | None) -> list[Path]:
-    """Write the standard reconstruction artifacts; return their paths."""
-    paths = fileio.workspace_paths(out)
-    save_config(out / "config.json", config)
-    fileio.save_grid(paths["chi"], result.chi_cco, config_hash=config_hash(config))
+def _result_files(config: ImagingConfig, result: ReconstructionResult) -> dict:
+    """Writers of the reconstruction artifacts by file name; eps_r.pgm spans
+    1 to max(1.5, peak eps), and `render` gives any other range."""
     eps = result.eps_r.real
-    if vmax is None:
-        vmax = float(max(1.5, eps.max()))
-    fileio.render_pgm(eps, vmin, vmax, paths["eps_pgm"])
-    fileio.write_trace(paths["trace"], result.trace)
     metrics = {
         "final_loss": asdict(result.final_loss),
         "rel_error": result.rel_error,
@@ -96,64 +93,58 @@ def _result_files(out: Path, config: ImagingConfig, result: ReconstructionResult
         "components_above_1p5": count_components(eps, 1.5),
         "views": result.n_views,
     }
-    write_json(paths["metrics"], metrics)
-    return [out / "config.json", paths["chi"], paths["eps_pgm"], paths["trace"],
-            paths["metrics"]]
+    return {
+        "config.json": lambda p: save_config(p, config),
+        "chi.grid": lambda p: fileio.save_grid(p, result.chi_cco,
+                                               config_hash=config_hash(config)),
+        "eps_r.pgm": lambda p: fileio.render_pgm(eps, 1.0, max(1.5, metrics["peak_eps"]), p),
+        "trace.csv": lambda p: fileio.write_trace(p, result.trace),
+        "metrics.json": lambda p: write_json(p, metrics),
+    }
 
 
 # ----------------------------------------------------------------------
-# Subcommands
+# Subcommands: a recorded run returns (seed, inputs, outputs, solver), the rest an exit code
 
 
-def _cmd_simulate(args, argv) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args):
     cfg = _build_config(args)
     scene = resolve_scene(args.scene)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.rng_seed)
     sim = simulate(cfg, scene, snr_db=args.snr, rng=rng)
-    save_config(out / "config.json", cfg)
-    fileio.save_dataset(out / "data.emsca", sim.data, meta={"scene": args.scene})
-    fileio.save_grid(out / "chi_true.grid", sim.chi_true, config_hash=config_hash(cfg))
-    outputs = [out / "config.json", out / "data.emsca", out / "chi_true.grid"]
-    inputs = [args.config] if args.config else []
+    outputs = _write(args, {
+        "config.json": lambda p: save_config(p, cfg),
+        "data.emsca": lambda p: fileio.save_dataset(p, sim.data, meta={"scene": args.scene}),
+        "chi_true.grid": lambda p: fileio.save_grid(p, sim.chi_true,
+                                                    config_hash=config_hash(cfg)),
+    })
+    inputs = [p for p in (args.config, args.scene) if p and Path(p).is_file()]
     solver = {"path": sim.solver_path, "steps": sim.solver_steps,
               "max_residual": float(sim.solver_residuals.max()),
               "residuals": sim.solver_residuals.tolist()}
-    _finish(out, "simulate", argv, cfg.rng_seed, inputs, outputs, t0, solver=solver)
-    return 0
+    return cfg.rng_seed, inputs, outputs, solver
 
 
-def _cmd_reconstruct(args, argv) -> int:
-    t0 = time.perf_counter()
+def _cmd_reconstruct(args):
     cfg = _build_config(args)
     data, _meta = fileio.load_dataset(args.data)
     truth = fileio.load_grid(args.truth) if args.truth else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = reconstruct(cfg, data, chi_true=truth)
-    outputs = _result_files(out, cfg, result, args.vmin, args.vmax)
     inputs = [p for p in (args.config, args.data, args.truth) if p]
-    _finish(out, "reconstruct", argv, cfg.rng_seed, inputs, outputs, t0)
-    return 0
+    return cfg.rng_seed, inputs, _write(args, _result_files(cfg, result)), None
 
 
-def _cmd_study(args, argv) -> int:
-    t0 = time.perf_counter()
+def _cmd_study(args):
     spec = load_study_spec(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     run_study(spec, out_dir=out)
-    outputs = sorted(p for p in out.glob("*.csv"))
-    _finish(out, "study", argv, spec.seed, [args.spec], outputs, t0)
-    return 0
+    return spec.seed, [args.spec], study_csvs(spec.kind, out), None
 
 
-def _cmd_fresnel(args, argv) -> int:
-    t0 = time.perf_counter()
+def _cmd_fresnel(args):
     if args.write_synthetic:
         write_synthetic_foamdiel(args.write_synthetic, frequency=to_hz(args.freq))
         if not args.file:
@@ -162,26 +153,20 @@ def _cmd_fresnel(args, argv) -> int:
         raise UsageError("fresnel: --file is required unless only --write-synthetic is used")
     dataset = load_fresnel(args.file, args.freq)
     cfg = fresnel_config(dataset, **_overrides(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = reconstruct(cfg, dataset.scattered(), array=dataset.array())
-    outputs = _result_files(out, cfg, result, args.vmin, args.vmax)
-    _finish(out, "fresnel", argv, cfg.rng_seed, [args.file], outputs, t0)
-    return 0
+    return cfg.rng_seed, [args.file], _write(args, _result_files(cfg, result)), None
 
 
-def _cmd_render(args, argv) -> int:
+def _cmd_render(args) -> int:
     grid = fileio.load_grid(args.grid)
-    values = grid.values.real + (1.0 if args.quantity == "eps" else 0.0)
-    fileio.render_pgm(values, args.vmin, args.vmax, args.out)
+    fileio.render_pgm(grid.values.real + 1.0, args.vmin, args.vmax, args.out)
     return 0
 
 
-def _cmd_rerun(args, argv) -> int:
+def _cmd_rerun(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
-    orig_argv = list(manifest["argv"])
     out_dir = Path(args.out) if args.out else Path(args.manifest).parent / "rerun"
-    replayed = _redirect_out(orig_argv, str(out_dir))
+    replayed = _redirect_out(manifest["argv"], str(out_dir))
     code = main(replayed)
     if code != 0:
         print(f"rerun: replay exited with {code}", file=sys.stderr)
@@ -230,8 +215,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--data", required=True, help=".emsca dataset")
     p.add_argument("--truth", help="optional ground-truth .grid for error metrics")
-    p.add_argument("--vmin", type=float, default=1.0)
-    p.add_argument("--vmax", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -247,16 +230,13 @@ def build_parser() -> _Parser:
                    help="frequency to invert, Hz (values < 1e3 mean GHz); the 5 GHz "
                         "default balances resolution against contrast recovery")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--vmin", type=float, default=1.0)
-    p.add_argument("--vmax", type=float, default=None)
     p.add_argument("--write-synthetic", metavar="PATH",
                    help="first write a synthetic bench-style file to PATH")
     p.add_argument("--out", default="fresnel_out")
     p.set_defaults(func=_cmd_fresnel)
 
-    p = sub.add_parser("render", help="render a .grid file to 8-bit PGM")
+    p = sub.add_parser("render", help="render eps_r = 1 + chi of a .grid file to 8-bit PGM")
     p.add_argument("--grid", required=True)
-    p.add_argument("--quantity", choices=("eps", "chi"), default="eps")
     p.add_argument("--vmin", type=float, default=1.0)
     p.add_argument("--vmax", type=float, default=3.0)
     p.add_argument("--out", required=True)
@@ -275,13 +255,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        t0 = time.perf_counter()
+        record = args.func(args)
+        if not isinstance(record, tuple):
+            return record
+        seed, inputs, outputs, solver = record
+        fileio.write_manifest(Path(args.out) / "manifest.json", args.command, argv, seed,
+                              inputs, outputs, time.perf_counter() - t0, solver=solver)
+        return 0
     except SystemExit as exc:      # --help lands here with code 0
         return int(exc.code or 0)
-    try:
-        return args.func(args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ import struct
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -227,7 +226,6 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
     solve's diagnostics (`solver`, when given) live only here, so tracked
     outputs stay bit-identical across reruns.
     """
-    import numpy
     import scipy
 
     from . import __version__
@@ -236,7 +234,7 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
         "command": command,
         "argv": list(argv),
         "seed": seed,
-        "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "scipy": scipy.__version__, "pdfisp": __version__},
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(p): sha256_file(p) for p in outputs},
@@ -260,10 +258,3 @@ def load_manifest(path) -> dict:
         raise FileFormatError(f"{path}: manifest outputs must be an object, got {outputs!r}")
     return manifest
 
-
-def workspace_paths(out_dir) -> dict[str, Path]:
-    """Canonical file names of a reconstruction output directory."""
-    out = Path(out_dir)
-    return {"chi": out / "chi.grid", "eps_pgm": out / "eps_r.pgm",
-            "trace": out / "trace.csv", "metrics": out / "metrics.json",
-            "manifest": out / "manifest.json"}

@@ -178,7 +178,7 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
         rows.append(_resume_or_run(out_dir, payload, lambda: run(*cell)))
     if out_dir is not None:
         columns = [c for c in columns + ["error"] if any(c in r for r in rows)]
-        write_csv(Path(out_dir) / f"{name}.csv", columns, rows)
+        write_csv(study_csvs(name, out_dir)[0], columns, rows)
     return rows
 
 
@@ -270,7 +270,7 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
                                        "q3": q[3], "max": q[4]}}
     if out_dir is not None:
         stats_rows = [{"sigma": s, **v["stats"]} for s, v in out.items()]
-        write_csv(Path(out_dir) / "monte_carlo_stats.csv",
+        write_csv(study_csvs("monte_carlo", out_dir)[1],
                   ["sigma", "min", "q1", "median", "q3", "max"], stats_rows)
     return out
 
@@ -282,3 +282,10 @@ STUDIES = {"sweep": run_sweep, "noise": run_noise_study, "ablation": run_ablatio
 def run_study(spec: StudySpec, out_dir=None):
     """Dispatch on spec.kind."""
     return STUDIES[spec.kind](spec, out_dir=out_dir)
+
+
+def study_csvs(kind: str, out_dir) -> list[Path]:
+    """The CSVs a study of `kind` writes into out_dir: <kind>.csv, then, for
+    monte_carlo, the per-sigma summary."""
+    stems = [kind] + (["monte_carlo_stats"] if kind == "monte_carlo" else [])
+    return [Path(out_dir) / f"{stem}.csv" for stem in stems]

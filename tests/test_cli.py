@@ -31,6 +31,25 @@ def recon_dir(tmp_path_factory, sim_dir):
     return d
 
 
+@pytest.fixture(scope="module")
+def fresnel_dir(tmp_path_factory, foamdiel_file):
+    d = tmp_path_factory.mktemp("cli") / "fres"
+    code = main(["fresnel", "--file", str(foamdiel_file), "--freq", "5.0",
+                 "--set", "m1=16", "--set", "m2=16", "--set", "m_f=3", "--set", "k_iters=2",
+                 "--out", str(d)])
+    assert code == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def study_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    spec = _json(d / "spec.json", {"kind": "monte_carlo", "sigmas": [0.0],
+                                   "n_realizations": 1, "config": TINY_CONFIG})
+    assert main(["study", "--spec", spec, "--out", str(d / "study")]) == 0
+    return d / "study"
+
+
 # ----------------------------------------------------------------------
 # Exit codes
 
@@ -224,11 +243,45 @@ def test_seed_flag_is_gone(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["reconstruct", "--config", "{sim}/config.json", "--data", "{sim}/data.emsca",
+     "--vmax", "0.5"],
+    ["reconstruct", "--config", "{sim}/config.json", "--data", "{sim}/data.emsca",
+     "--vmin", "1"],
+    ["fresnel", "--file", "{fres}", "--freq", "5.0", "--set", "m1=16", "--set", "m2=16",
+     "--set", "m_f=3", "--set", "k_iters=2", "--vmax", "3"],
+    ["fresnel", "--file", "{fres}", "--freq", "5.0", "--set", "m1=16", "--set", "m2=16",
+     "--set", "m_f=3", "--set", "k_iters=2", "--vmin", "1"],
+    ["render", "--grid", "{sim}/chi_true.grid", "--quantity", "chi"],
+])
+def test_preview_range_flags_are_gone(command, sim_dir, foamdiel_file, tmp_path, capsys):
+    # eps_r.pgm keeps one range rule; `render --vmin/--vmax` gives any other range
+    argv = [a.format(sim=sim_dir, fres=foamdiel_file) for a in command]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_accepts_json_values(tmp_path):
     d = tmp_path / "flags"
     assert main(["simulate", "--scene", "austria:2.0:0.9", *TINY,
                  "--set", "use_cco=false", "--out", str(d)]) == 0
     assert load_config(d / "config.json").use_cco is False
+
+
+def test_simulate_manifest_hashes_a_scene_file(sim_dir, tmp_path):
+    assert load_manifest(sim_dir / "manifest.json")["inputs"] == {}     # a preset
+    scene = _json(tmp_path / "scene.json", {"shapes": [dict(DISK, radius=0.3)]})
+    d = tmp_path / "sim"
+    assert main([*SIM, scene, "--out", str(d)]) == 0
+    assert load_manifest(d / "manifest.json")["inputs"] == {scene: sha256_file(scene)}
+
+
+@pytest.mark.parametrize("run_dir", ["sim_dir", "recon_dir", "fresnel_dir", "study_dir"])
+def test_manifest_outputs_are_the_files_of_the_run(run_dir, request):
+    d = request.getfixturevalue(run_dir)
+    files = {str(p) for p in d.iterdir() if p.is_file() and p.name != "manifest.json"}
+    assert files == set(load_manifest(d / "manifest.json")["outputs"])
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +319,7 @@ def test_trace_has_finite_update_norms(recon_dir):
 
 def test_render_writes_pgm_and_no_manifest(sim_dir, tmp_path):
     out = tmp_path / "truth.pgm"
-    assert main(["render", "--grid", str(sim_dir / "chi_true.grid"),
-                 "--quantity", "eps", "--out", str(out)]) == 0
+    assert main(["render", "--grid", str(sim_dir / "chi_true.grid"), "--out", str(out)]) == 0
     raw = out.read_bytes()
     assert raw.startswith(b"P5\n16 16\n255\n")
     assert not (tmp_path / "manifest.json").exists()
@@ -275,6 +327,14 @@ def test_render_writes_pgm_and_no_manifest(sim_dir, tmp_path):
     pix = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8).reshape(16, 16)
     want = np.rint(np.clip((truth.values.real + 1.0 - 1.0) / 2.0, 0, 1) * 255)
     assert np.array_equal(pix, want.astype(np.uint8))
+
+
+def test_render_of_chi_grid_reproduces_eps_pgm(recon_dir, tmp_path):
+    peak = json.loads((recon_dir / "metrics.json").read_text())["peak_eps"]
+    out = tmp_path / "eps.pgm"
+    assert main(["render", "--grid", str(recon_dir / "chi.grid"), "--vmin", "1",
+                 "--vmax", repr(max(1.5, peak)), "--out", str(out)]) == 0
+    assert out.read_bytes() == (recon_dir / "eps_r.pgm").read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +361,24 @@ def test_rerun_study_matches(tmp_path, capsys):
                                           "eps_grid": [2.0], "config": TINY_CONFIG})
     out = tmp_path / "study"
     assert main(["study", "--spec", spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["rerun", "--manifest", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "replay")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_study_manifest_lists_only_its_own_csvs(tmp_path, capsys):
+    # a noise study, then a sweep, into one directory
+    out = tmp_path / "shared"
+    noise = _json(tmp_path / "noise.json", {"kind": "noise", "snr_grid": [10.0],
+                                            "eps_grid": [2.0], "config": TINY_CONFIG})
+    sweep = _json(tmp_path / "sweep.json", {"kind": "sweep", "axes": {"beta": [4.0]},
+                                            "snr_db": 10.0, "config": TINY_CONFIG})
+    assert main(["study", "--spec", noise, "--out", str(out)]) == 0
+    assert main(["study", "--spec", sweep, "--out", str(out)]) == 0
+    assert list(load_manifest(out / "manifest.json")["outputs"]) == [str(out / "sweep.csv")]
     capsys.readouterr()
     code = main(["rerun", "--manifest", str(out / "manifest.json"),
                  "--out", str(tmp_path / "replay")])
@@ -339,12 +417,8 @@ def test_fresnel_write_synthetic_only(tmp_path):
     assert first[2] == "2"                      # GHz column
 
 
-def test_fresnel_reconstruct_run(foamdiel_file, tmp_path):
-    d = tmp_path / "fres"
-    code = main(["fresnel", "--file", str(foamdiel_file), "--freq", "5.0",
-                 "--set", "m1=16", "--set", "m2=16", "--set", "m_f=3", "--set", "k_iters=2",
-                 "--out", str(d)])
-    assert code == 0
+def test_fresnel_reconstruct_run(fresnel_dir):
+    d = fresnel_dir
     for name in ("config.json", "chi.grid", "eps_r.pgm", "metrics.json",
                  "manifest.json"):
         assert (d / name).exists()

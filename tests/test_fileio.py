@@ -9,7 +9,7 @@ import pytest
 
 from pdfisp.fileio import (ByteOrderError, CorruptHeaderError, FileFormatError, _write_header,
                            load_dataset, load_grid, load_manifest, render_pgm,
-                           save_dataset, save_grid, sha256_file, workspace_paths,
+                           save_dataset, save_grid, sha256_file,
                            write_manifest, write_trace)
 from pdfisp.forward import ScatteredData
 from pdfisp.geometry import ComplexGrid
@@ -230,12 +230,3 @@ def test_manifest_round_trip(tmp_path):
     assert {"python", "numpy", "scipy", "pdfisp"} <= set(m["versions"])
     # the manifest itself is valid, sorted-key JSON
     assert json.loads(mpath.read_text()) == m
-
-
-def test_workspace_paths_names(tmp_path):
-    paths = workspace_paths(tmp_path)
-    assert paths["chi"].name == "chi.grid"
-    assert paths["eps_pgm"].name == "eps_r.pgm"
-    assert paths["trace"].name == "trace.csv"
-    assert paths["metrics"].name == "metrics.json"
-    assert paths["manifest"].name == "manifest.json"
