@@ -102,7 +102,10 @@ class ImagingConfig:
 
     def validate(self) -> "ImagingConfig":
         """Check invariants; return self on success, raise ConfigError otherwise."""
-        # written `not x > 0` so that NaN fails too
+        for f in dataclasses.fields(self):      # no inf or NaN; ring_radius may be None
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"ImagingConfig.{f.name} must be finite, got {value!r}")
         for name in ("frequency", "doi_side", "beta", "learn_rate", "solver_tol"):
             value = getattr(self, name)
             if not value > 0:

@@ -100,6 +100,8 @@ def _parse_records(path) -> list[tuple[int, int, int, float, complex, complex]]:
             if len(vals) != 7:
                 raise FresnelParseError(
                     f"line {line_no}: expected 7 columns, got {len(vals)}")
+            if not np.isfinite(vals).all():
+                raise FresnelParseError(f"line {line_no}: nonfinite value in {line.strip()!r}")
             tx, rx = vals[0], vals[1]
             if tx != int(tx) or rx != int(rx) or tx < 1 or rx < 1:
                 raise FresnelParseError(

@@ -71,10 +71,29 @@ def _points_in_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _geometry_fault(s: Shape) -> str | None:
+    """What is wrong with a shape's geometry, naming the field, or None."""
+    if s.center is not None and not np.isfinite(np.asarray(s.center, dtype=float)).all():
+        return f"center must be finite, got {s.center}"
+    if s.kind == "disk" and not (np.isfinite(s.radius) and s.radius > 0):
+        return f"radius must be finite and > 0, got {s.radius}"
+    if s.kind == "annulus" and not (0 <= s.r_inner < s.r_outer < np.inf):
+        return f"needs 0 <= r_inner < r_outer < inf, got r_inner {s.r_inner}, r_outer {s.r_outer}"
+    if s.kind == "polygon":
+        verts = np.asarray(s.vertices, dtype=float)
+        if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
+            return f"vertices must be at least 3 (x, y) points, got {s.vertices}"
+        if not np.isfinite(verts).all():
+            return f"vertices must be finite, got {s.vertices}"
+    return None
+
+
 @dataclass(frozen=True)
 class Scene:
-    """Shapes in paint order; each needs a known kind, that kind's fields and
-    a finite eps_r with Re{eps_r} >= 1 (a physical dielectric)."""
+    """Shapes in paint order; each needs a known kind, that kind's fields, a
+    finite geometry (a disk radius > 0, 0 <= r_inner < r_outer, at least 3
+    polygon vertices) and a finite eps_r with Re{eps_r} >= 1 (a physical
+    dielectric)."""
 
     shapes: tuple[Shape, ...] = field(default_factory=tuple)
 
@@ -85,6 +104,9 @@ class Scene:
             missing = [n for n in KIND_FIELDS[s.kind] if getattr(s, n) is None]
             if missing:
                 raise SceneError(f"Scene.shapes[{i}] ({s.kind}): missing {', '.join(missing)}")
+            fault = _geometry_fault(s)
+            if fault:
+                raise SceneError(f"Scene.shapes[{i}] ({s.kind}): {fault}")
             eps = complex(s.eps_r)
             if not (np.isfinite(eps) and eps.real >= 1.0):
                 raise SceneError(f"Scene.shapes[{i}]: needs a finite eps_r with Re{{eps_r}} "

@@ -1,38 +1,37 @@
 """Scripted experiment harness: sweeps, noise grids, ablations, Monte Carlo.
 
-Every study is a pure function of (spec, seeds). Each kind only lists its
-cells; one runner (see _run_cells) turns any cell into a row: simulate,
-add noise, reconstruct, metrics. Cells that agree on the contrast, the
-antenna positions and the config fields `simulate` reads share one clean
-dataset, simulated on first use, so a sweep over loss weights or
-iterations solves the forward problem once. Cells are keyed by a hash of
-everything their result depends on, finished cells are skipped on resume,
-failed cells are recorded as `error` rows, and seeds are assigned
-deterministically per cell, so reruns reproduce tables exactly.
+Every study is a pure function of (spec, seeds). Sweeps, noise grids and
+ablations are lists of points of named values (see _run_grid); Monte Carlo
+lists its own cells. One runner (see _run_cells) turns any cell into a row:
+simulate, add noise, reconstruct, metrics. A clean dataset is simulated
+once and shared, so a sweep over loss weights or iterations solves the
+forward problem once. Cells are keyed by a hash of everything their result
+depends on, finished cells are skipped on resume, failed cells are
+recorded as `error` rows, and seeds are assigned deterministically per
+cell, so reruns reproduce tables exactly.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, config_from_dict, config_hash,
-                     config_to_dict, from_dict, json_digest, read_json, write_json)
+from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, _read, config_from_dict,
+                     config_hash, config_to_dict, from_dict, json_digest, read_json, write_json)
 from .fileio import write_csv
 from .forward import SIMULATE_FIELDS, SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
 from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
 from .scenes import PRESET_NAMES, Scene, builtin_scene
 
-ABLATION_FLAGS = {
-    "no_cco": {"use_cco": False},
-    "no_bridge": {"lambda3": 0.0},
-    "no_bound": {"lambda1": 0.0},
-    "no_tv": {"lambda2": 0.0},
-}
+ABLATION_FLAGS = {"no_cco": {"use_cco": False}, "no_bridge": {"lambda3": 0.0},
+                  "no_bound": {"lambda1": 0.0}, "no_tv": {"lambda2": 0.0}}
+# the axes that set a cell's dataset, with the types their values are read as;
+# every other axis is a scalar ImagingConfig field and sets the cell's config
+DATA_AXES = {"scene_eps": float, "snr_db": float, "draw": int}
 
 
 @dataclass
@@ -44,8 +43,8 @@ class StudySpec:
     scene_name: str = "austria"
     scene_eps: float = 2.0
     scene_scale: float = 1.0
-    axes: dict[str, list] = field(default_factory=dict)  # config field -> value list
-    snr_db: float = float("inf")                         # dataset noise outside the noise study
+    axes: dict[str, list] = field(default_factory=dict)  # config field or data axis -> values
+    snr_db: float = float("inf")                         # dataset noise where a point sets none
     snr_grid: tuple[float, ...] = (float("inf"), 10.0, 5.0, 1.0)
     eps_grid: tuple[float, ...] = (2.0, 5.0, 8.0)
     ablations: tuple[str, ...] = ("no_cco", "no_bridge", "no_bound", "no_tv")
@@ -64,9 +63,13 @@ class StudySpec:
         if unknown:
             raise ConfigError(f"StudySpec.ablations: unknown {unknown}; "
                               f"known: {sorted(ABLATION_FLAGS)}")
-        bad = [k for k in self.axes if k not in SCALAR_FIELDS]
+        bad = [k for k in self.axes if k not in SCALAR_FIELDS and k not in DATA_AXES]
         if bad:
-            raise ConfigError(f"StudySpec.axes: {bad} are not scalar ImagingConfig fields")
+            raise ConfigError(f"StudySpec.axes: {bad} are neither scalar ImagingConfig fields "
+                              f"nor data axes {list(DATA_AXES)}")
+        for name, tp in DATA_AXES.items():
+            for i, value in enumerate(self.axes.get(name, [])):
+                _read(tp, value, f"StudySpec.axes[{name!r}][{i}]", ConfigError)
         negative = [s for s in self.sigmas if not s >= 0]
         if negative:
             raise ConfigError(f"StudySpec.sigmas: {negative} are not >= 0")
@@ -99,25 +102,18 @@ def save_study_spec(path, spec: StudySpec) -> None:
 
 
 def _cell_metrics(result: ReconstructionResult, chi_true: np.ndarray) -> dict:
-    eps = result.eps_r.real
-    return {
-        "rel_error": result.rel_error,
-        "wall_time": result.wall_time,
-        "loss_state": result.final_loss.state,
-        "loss_data": result.final_loss.data,
-        "loss_total": result.final_loss.total,
-        "components": count_components(eps, 1.5),
-        "peak_eps": float(eps.max()),
-        "min_eps": float(eps.min()),
-        "n_below_one": int(np.sum(eps < 1.0)),
-        "gap_spurious": spurious_gap_pixels(eps, chi_true),
-    }
+    eps, loss = result.eps_r.real, result.final_loss
+    return {"rel_error": result.rel_error, "wall_time": result.wall_time,
+            "loss_state": loss.state, "loss_data": loss.data, "loss_total": loss.total,
+            "components": count_components(eps, 1.5), "peak_eps": float(eps.max()),
+            "min_eps": float(eps.min()), "n_below_one": int(np.sum(eps < 1.0)),
+            "gap_spurious": spurious_gap_pixels(eps, chi_true), "views": result.n_views}
 
 
-# CSV columns; rows also carry `wall_time`, which stays out of the hashed CSVs
-# so that `pdf-isp rerun` of a study is bit-exact
-METRIC_COLUMNS = ["rel_error", "loss_state", "loss_data", "loss_total",
-                  "components", "peak_eps", "min_eps"]
+# the metric columns of every grid CSV; rows also carry `wall_time`, which stays
+# out of the hashed CSVs so that `pdf-isp rerun` of a study is bit-exact
+METRIC_COLUMNS = ["rel_error", "loss_state", "loss_data", "loss_total", "components",
+                  "peak_eps", "min_eps", "n_below_one", "gap_spurious", "views"]
 
 
 def _resume_or_run(out_dir, payload: dict, runner) -> dict:
@@ -141,18 +137,17 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
     (params, config, eps, snr_db, draw, sigma).
 
     A cell draws from default_rng(draw): first the antenna jitter, when
-    sigma is not None, then the noise at snr_db. Its clean dataset is the
-    one of the scene at contrast eps on the (jittered) array, simulated on
-    first use and shared by every later cell with the same contrast, array
-    and SIMULATE_FIELDS values. The reconstruction uses the nominal array,
-    and the row is the params plus the cell metrics.
+    sigma is not None, then the noise at snr_db. Its clean dataset, the
+    scene at contrast eps on the (jittered) array, is simulated on first
+    use and shared by every later cell with the same contrast, array and
+    SIMULATE_FIELDS values. The reconstruction uses the nominal array, and
+    the row is the params plus the cell metrics.
 
-    A cell's key hashes everything its row depends on: the study name, the
-    hash of the cell's config, the scene, the study seed and the cell's
-    params (index, SNR, variant, realization, ...). A cell that raises
-    becomes a row of its key fields plus `error`. With an out_dir, a cell
-    whose key is already stored is loaded instead of run, and the columns
-    that occur in any row are written to <name>.csv.
+    A cell's key hashes the study name, the cell's config hash, the scene,
+    the study seed and the params, which must fix the draw. A cell that
+    raises becomes a row of its key fields plus `error`. With an out_dir, a
+    stored cell is loaded instead of run, and the columns that occur in any
+    row are written to <name>.csv.
     """
     clean: dict[tuple, SimulationResult] = {}
 
@@ -186,29 +181,40 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
 # Studies
 
 
-def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
-    """Cartesian sweep over config fields (e.g. beta, m_f, k_iters); cell idx
-    draws its noise from default_rng(seed + idx)."""
-    names = sorted(spec.axes)
+def _run_grid(name: str, spec: StudySpec, points: list[dict], out_dir) -> list[dict]:
+    """One cell per point of named values, in order. `scene_eps`, `snr_db`
+    (the spec's where a point has none) and `draw` set its dataset, config
+    field names its config, and other names (`variant`) only label it.
+    A cell draws from default_rng(seed + k), k its dataset's index in order
+    of first appearance, so cells that differ only in settings reconstruct
+    identical noisy data. The CSV has the first point's names, then
+    METRIC_COLUMNS."""
+    datasets: dict[tuple, int] = {}
     cells = []
-    for idx, values in enumerate(itertools.product(*(spec.axes[n] for n in names))):
-        overrides = dict(zip(names, values))
-        cfg = config_from_dict({**config_to_dict(spec.config), **overrides})
-        cells.append(({"cell": idx, "snr_db": spec.snr_db, **overrides}, cfg,
-                      spec.scene_eps, spec.snr_db, spec.seed + idx, None))
-    return _run_cells("sweep", spec, cells, out_dir, names + METRIC_COLUMNS)
+    for idx, point in enumerate(points):
+        eps, snr = point.get("scene_eps", spec.scene_eps), point.get("snr_db", spec.snr_db)
+        k = datasets.setdefault((eps, snr, point.get("draw")), len(datasets))
+        fields = {n: v for n, v in point.items() if n in SCALAR_FIELDS}
+        cfg = config_from_dict({**config_to_dict(spec.config), **fields})
+        cells.append(({"cell": idx, "dataset": k, "scene_eps": eps, "snr_db": snr, **point},
+                      cfg, eps, snr, spec.seed + k, None))
+    names = list(points[0]) if points else []
+    return _run_cells(name, spec, cells, out_dir, names + METRIC_COLUMNS)
+
+
+def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
+    """Cartesian sweep over `axes` in spec order: config fields (e.g. beta,
+    m_f, k_iters) and the data axes scene_eps, snr_db and draw."""
+    points = [dict(zip(spec.axes, values)) for values in itertools.product(*spec.axes.values())]
+    return _run_grid("sweep", spec, points, out_dir)
 
 
 def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
-    """Noise grid: every SNR level crossed with every contrast level.
-
-    Each contrast is simulated once, and cell idx adds its own noise draw,
-    from default_rng(seed + idx), to that clean data.
-    """
-    cells = [({"cell": idx, "snr_db": snr, "eps": eps}, spec.config, eps, snr,
-              spec.seed + idx, None)
-             for idx, (snr, eps) in enumerate(itertools.product(spec.snr_grid, spec.eps_grid))]
-    return _run_cells("noise", spec, cells, out_dir, ["snr_db", "eps"] + METRIC_COLUMNS)
+    """Every SNR level crossed with every contrast level: each cell is a
+    dataset of its own, so cell idx draws from default_rng(seed + idx)."""
+    points = [{"snr_db": snr, "scene_eps": eps}
+              for snr, eps in itertools.product(spec.snr_grid, spec.eps_grid)]
+    return _run_grid("noise", spec, points, out_dir)
 
 
 def gap_mask(chi_true: np.ndarray, dilate: int = 5) -> np.ndarray:
@@ -234,26 +240,21 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
 
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
-    """Full pipeline versus single-switch ablations on one shared dataset:
-    every variant draws its noise from default_rng(seed), and a fully
+    """Full pipeline versus single-switch ablations: points of one dataset,
+    so every variant draws its noise from default_rng(seed), and a fully
     resumed study solves nothing."""
-    variants = [("full", {})] + [(n, ABLATION_FLAGS[n]) for n in spec.ablations]
-    cells = [({"variant": name, "snr_db": spec.snr_db}, dc_replace(spec.config, **overrides),
-              spec.scene_eps, spec.snr_db, spec.seed, None) for name, overrides in variants]
-    cols = ["variant", "rel_error", "peak_eps", "min_eps", "n_below_one",
-            "gap_spurious", "components", "loss_data", "loss_total"]
-    rows = _run_cells("ablation", spec, cells, out_dir, cols)
-    return {name: row for (name, _), row in zip(variants, rows)}
+    points = [{"variant": "full"}] + [{"variant": name, **ABLATION_FLAGS[name]}
+                                      for name in spec.ablations]
+    rows = _run_grid("ablation", spec, points, out_dir)
+    return {point["variant"]: row for point, row in zip(points, rows)}
 
 
 def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
     """Antenna-position uncertainty: data from perturbed arrays, inversion
-    with the nominal geometry.
-
-    Realization r of sigma number si draws from default_rng((seed, si, r)).
-    Returns per-sigma error lists plus five-number summaries over the
-    realizations that did not fail (NaN when none succeeded).
-    """
+    with the nominal geometry. Realization r of sigma number si draws from
+    default_rng((seed, si, r)). Returns per-sigma error lists plus
+    five-number summaries over the realizations that did not fail (NaN when
+    none succeeded)."""
     cells = [({"sigma": sigma, "sigma_index": si, "realization": r}, spec.config,
               spec.scene_eps, float("inf"), (spec.seed, si, r), sigma)
              for si, sigma in enumerate(map(float, spec.sigmas))
@@ -261,17 +262,15 @@ def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
     rows = _run_cells("monte_carlo", spec, cells, out_dir, ["sigma", "realization", "rel_error"])
 
     out: dict[float, dict] = {}
+    stats = ("min", "q1", "median", "q3", "max")
     for sigma in spec.sigmas:
         errs = np.array([r["rel_error"] for r in rows
                          if r["sigma"] == float(sigma) and "error" not in r])
         q = np.percentile(errs, [0, 25, 50, 75, 100]) if errs.size else np.full(5, np.nan)
-        out[float(sigma)] = {"errors": errs.tolist(),
-                             "stats": {"min": q[0], "q1": q[1], "median": q[2],
-                                       "q3": q[3], "max": q[4]}}
+        out[float(sigma)] = {"errors": errs.tolist(), "stats": dict(zip(stats, q))}
     if out_dir is not None:
-        stats_rows = [{"sigma": s, **v["stats"]} for s, v in out.items()]
-        write_csv(study_csvs("monte_carlo", out_dir)[1],
-                  ["sigma", "min", "q1", "median", "q3", "max"], stats_rows)
+        write_csv(study_csvs("monte_carlo", out_dir)[1], ["sigma", *stats],
+                  [{"sigma": s, **v["stats"]} for s, v in out.items()])
     return out
 
 

@@ -111,6 +111,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "set m1 text": ([*SIM, "austria:2", "--set", "m1=abc"], "ImagingConfig.m1"),
     "set beta text": ([*SIM, "austria:2", "--set", "beta=abc"], "ImagingConfig.beta"),
     "set beta nan": ([*SIM, "austria:2", "--set", "beta=NaN"], "ImagingConfig.beta"),
+    "set solver_tol inf": ([*SIM, "austria:2", "--set", "solver_tol=Infinity"],
+                           "ImagingConfig.solver_tol must be finite, got inf"),
     "set m1 float": ([*SIM, "austria:2", "--set", "m1=64.0"], "ImagingConfig.m1"),
     "set k_iters float": ([*SIM, "austria:2", "--set", "k_iters=2.5"], "ImagingConfig.k_iters"),
     "set use_cco text": ([*SIM, "austria:2", "--set", "use_cco=maybe"], "ImagingConfig.use_cco"),
@@ -128,6 +130,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "data nan": (["reconstruct", *TINY, "--data", "{d}/nan.emsca"],
                  "nonfinite entries: 1, in 1 of 8 rows"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
+    "scene negative radius": ([*SIM, "{d}/negative_radius.json"],
+                              "Scene.shapes[0] (disk): radius must be finite and > 0"),
     "scene misspelled key": ([*SIM, "{d}/radios.json"], "Shape keys: ['radios']"),
     "scene eps_r text": ([*SIM, "austria:abc"], "eps_r 'abc'"),
     "scene eps_r nan": ([*SIM, "austria:nan"], "Scene.shapes[0]: needs a finite eps_r"),
@@ -135,6 +139,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "scene extra part": ([*SIM, "austria:2:1:5"], "expected name:eps_r[:scale]"),
     "spec ablation": (["study", "--spec", "{d}/ablation.json"], "StudySpec.ablations"),
     "spec sweep axis": (["study", "--spec", "{d}/axis.json"], "StudySpec.axes: ['bogus']"),
+    "spec snr_db axis text": (["study", "--spec", "{d}/snr_axis.json"],
+                              "StudySpec.axes['snr_db'][1]: expected float, got 'abc'"),
     "spec snr_grid": (["study", "--spec", "{d}/snr_grid.json"], "StudySpec.snr_grid"),
     "spec scene_name noise": (["study", "--spec", "{d}/scene_noise.json"],
                               "StudySpec.scene_name"),
@@ -143,6 +149,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "spec sigmas negative": (["study", "--spec", "{d}/sigmas.json"], "StudySpec.sigmas"),
     "spec n_realizations zero": (["study", "--spec", "{d}/n_realizations.json"],
                                  "StudySpec.n_realizations"),
+    "fresnel inf column": (["fresnel", "--file", "{d}/inf.exp", "--freq", "1"],
+                           "line 2: nonfinite value"),
     "manifest no argv": (["rerun", "--manifest", "{d}/no_argv.json"], "manifest argv"),
     "manifest no outputs": (["rerun", "--manifest", "{d}/no_outputs.json"], "manifest outputs"),
 }
@@ -159,11 +167,15 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
     matrix[3, 5] = np.nan
     save_dataset(tmp_path / "nan.emsca", ScatteredData(matrix=matrix))
     _json(tmp_path / "no_radius.json", {"shapes": [DISK]})
+    _json(tmp_path / "negative_radius.json", {"shapes": [dict(DISK, radius=-0.3)]})
     _json(tmp_path / "radios.json", {"shapes": [dict(DISK, radius=0.3, radios=0.3)]})
     _json(tmp_path / "ablation.json", {"kind": "ablation", "ablations": ["no_foo"],
                                        "config": TINY_CONFIG})
     _json(tmp_path / "axis.json", {"kind": "sweep", "axes": {"bogus": [1]},
                                    "config": TINY_CONFIG})
+    _json(tmp_path / "snr_axis.json", {"kind": "sweep", "axes": {"snr_db": [10.0, "abc"]},
+                                       "config": TINY_CONFIG})
+    (tmp_path / "inf.exp").write_text("1 1 1.0 1.0 0.0 0.5 0.0\ninf 1 5 1 1 1 1\n")
     _json(tmp_path / "snr_grid.json", {"kind": "noise", "snr_grid": "abc",
                                        "config": TINY_CONFIG})
     _json(tmp_path / "sigmas.json", {"kind": "monte_carlo", "sigmas": [-0.001],

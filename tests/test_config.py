@@ -53,8 +53,9 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ImagingConfig) if f.type.star
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_validate_rejects_nan_naming_the_field(name):
-    with pytest.raises(ConfigError, match=rf"ImagingConfig\.{name} must .*got nan"):
-        ImagingConfig(**{name: math.nan})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=rf"ImagingConfig\.{name} must .*got {value}"):
+            ImagingConfig(**{name: value})
 
 
 def test_ring_must_clear_domain_corner():

@@ -53,6 +53,14 @@ def test_fractional_index_rejected(tmp_path):
         load_fresnel(path, 1.0)
 
 
+@pytest.mark.parametrize("line", ["inf 1 5 1 1 1 1", "nan 1 5 1 1 1 1", "1 1 1.0 1.0 nan 0.5 0.0",
+                                  "1 1 1.0 1.0 0.0 -inf 0.0"])
+def test_nonfinite_column_rejected_naming_the_line(tmp_path, line):
+    path = _write(tmp_path, MINIMAL + line + "\n")
+    with pytest.raises(FresnelParseError, match="line 5: nonfinite value"):
+        load_fresnel(path, 1.0)
+
+
 def test_duplicate_record_rejected(tmp_path):
     path = _write(tmp_path, MINIMAL + "1 1 1.0 2.0 0.0 0.5 0.0\n")
     with pytest.raises(FresnelParseError, match="duplicate"):

@@ -1,4 +1,6 @@
 """Scene construction, rasterization, and the preset catalog."""
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ def test_scene_checks_each_shape_by_index():
         Scene(shapes=(disk, Shape(kind="blob", eps_r=2.0)))
     with pytest.raises(SceneError, match=r"shapes\[0\] \(annulus\): missing r_inner"):
         Scene(shapes=(Shape(kind="annulus", eps_r=2.0, center=(0, 0), r_outer=0.2),))
+    for shape, message in [
+        (Shape(kind="disk", eps_r=2.0, center=(0, 0), radius=-0.3),
+         "radius must be finite and > 0"),
+        (Shape(kind="disk", eps_r=2.0, center=(0, 0), radius=math.nan), "radius must be finite"),
+        (Shape(kind="disk", eps_r=2.0, center=(math.nan, 0), radius=0.3), "center must be finite"),
+        (Shape(kind="annulus", eps_r=2.0, center=(0, 0), r_inner=0.5, r_outer=0.2),
+         "needs 0 <= r_inner < r_outer"),
+        (Shape(kind="annulus", eps_r=2.0, center=(0, 0), r_inner=-0.1, r_outer=0.2),
+         "needs 0 <= r_inner < r_outer"),
+        (Shape(kind="polygon", eps_r=2.0, vertices=((0, 0), (1, 0))),
+         "vertices must be at least 3"),
+        (Shape(kind="polygon", eps_r=2.0, vertices=((0, 0), (1, 0), (0, math.inf))),
+         "vertices must be finite"),
+    ]:
+        with pytest.raises(SceneError, match=rf"shapes\[1\] \({shape.kind}\): {message}"):
+            Scene(shapes=(disk, shape))
     with pytest.raises(SceneError, match=r"Shape.kind is missing"):
         scene_from_dict({"shapes": [{"eps_r": 2.0}]})
     back = scene_from_dict({"shapes": [{"kind": "disk", "eps_r": [2, 0.5], "center": [0, 0],

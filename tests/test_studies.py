@@ -162,7 +162,7 @@ def test_noise_study_grid(small_spec):
     rows = run_noise_study(spec)
     assert len(rows) == 2
     assert rows[0]["snr_db"] == float("inf") and rows[1]["snr_db"] == 5.0
-    assert all(r["eps"] == 2.0 for r in rows)
+    assert all(r["scene_eps"] == 2.0 for r in rows)
 
 
 def _count_solves(monkeypatch):
@@ -195,7 +195,7 @@ def test_noise_study_solves_once_per_contrast(monkeypatch, small_spec):
 
     # per-cell simulation with the same noise seeds gives the same cells
     for idx, row in enumerate(rows):
-        sim = simulate(spec.config, spec.scene(eps=row["eps"]), snr_db=row["snr_db"],
+        sim = simulate(spec.config, spec.scene(eps=row["scene_eps"]), snr_db=row["snr_db"],
                        rng=np.random.default_rng(spec.seed + idx))
         want = reconstruct(spec.config, sim.data, chi_true=sim.chi_true)
         assert row["rel_error"] == want.rel_error
@@ -218,13 +218,68 @@ def test_sweep_solves_once_per_dataset(monkeypatch, small_spec, axis, values, n_
     assert len(solves) == n_solves
     monkeypatch.undo()
 
-    # per-cell simulation with the same noise seeds gives the same cells
-    for idx, row in enumerate(rows):
+    # every cell is at one dataset, so all draw from default_rng(seed)
+    for row in rows:
         cfg = dataclasses.replace(spec.config, **{axis: row[axis]})
-        sim = simulate(cfg, spec.scene(), snr_db=5.0, rng=np.random.default_rng(spec.seed + idx))
+        sim = simulate(cfg, spec.scene(), snr_db=5.0, rng=np.random.default_rng(spec.seed))
         want = reconstruct(cfg, sim.data, chi_true=sim.chi_true)
         assert row["rel_error"] == want.rel_error
         assert row["loss_total"] == want.final_loss.total
+
+
+def test_sweep_cells_at_one_dataset_share_their_noisy_data(tmp_path, small_spec, monkeypatch):
+    """Data axes set the dataset, config axes only the settings: cells that
+    differ in beta alone reconstruct identical noisy data, and each draw
+    label is a noise draw of its own."""
+    import dataclasses
+
+    from pdfisp import studies
+    from pdfisp.forward import add_awgn
+
+    spec = dataclasses.replace(small_spec, kind="sweep", seed=7, axes={
+        "beta": [4.0, 6.0], "snr_db": [float("inf"), 5.0], "draw": [0, 1]})
+    data = []
+    real = studies.reconstruct
+
+    def captured(config, measured, **kwargs):
+        data.append(measured.matrix.copy())
+        return real(config, measured, **kwargs)
+
+    monkeypatch.setattr(studies, "reconstruct", captured)
+    rows = run_sweep(spec, out_dir=tmp_path)
+    assert len(rows) == len(data) == 8 and not any("error" in r for r in rows)
+    # axes are walked in spec order, and the CSV columns follow it
+    assert [(r["beta"], r["snr_db"], r["draw"]) for r in rows[:3]] == [
+        (4.0, float("inf"), 0), (4.0, float("inf"), 1), (4.0, 5.0, 0)]
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0].split(",")
+    assert header[:4] == ["beta", "snr_db", "draw", "rel_error"] and header[-1] == "views"
+    assert all(1 <= r["views"] <= 8 for r in rows)
+
+    by_dataset = {}
+    for row, matrix in zip(rows, data):
+        assert row["dataset"] == [(s, d) for s in (float("inf"), 5.0)
+                                  for d in (0, 1)].index((row["snr_db"], row["draw"]))
+        by_dataset.setdefault((row["snr_db"], row["draw"]), []).append(matrix)
+    for matrices in by_dataset.values():
+        assert len(matrices) == 2 and np.array_equal(*matrices)      # beta 4 and 6
+    noisy = by_dataset[(5.0, 0)][0], by_dataset[(5.0, 1)][0]
+    assert not np.array_equal(*noisy)                                 # draw labels differ
+    assert np.array_equal(by_dataset[(float("inf"), 0)][0], by_dataset[(float("inf"), 1)][0])
+    # dataset k draws from default_rng(seed + k)
+    clean = studies.simulate(spec.config, spec.scene()).data
+    want = add_awgn(clean, 5.0, np.random.default_rng(spec.seed + 3)).matrix
+    assert np.array_equal(by_dataset[(5.0, 1)][0], want)
+
+
+def test_yardstick_spec_carries_the_robustness_axes():
+    from pathlib import Path
+
+    spec = load_study_spec(Path(__file__).parents[1] / "specs" / "yardstick.json")
+    assert spec.kind == "sweep"
+    assert list(spec.axes.items()) == [
+        ("scene_eps", [2.0, 5.0, 8.0]), ("snr_db", [float("inf"), 10.0, 5.0, 1.0]),
+        ("draw", list(range(10))), ("fine_forward", [False, True]), ("k_iters", [50, 100, 200])]
+    assert spec.config == ImagingConfig()
 
 
 def test_noise_study_builds_the_operators_once(small_spec, operator_builds):
