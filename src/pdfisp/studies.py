@@ -1,14 +1,10 @@
 """Scripted experiment harness: sweeps, noise grids, ablations, Monte Carlo.
 
-Every study is a pure function of (spec, seeds). Sweeps, noise grids and
-ablations are lists of points of named values (see _run_grid); Monte Carlo
-lists its own cells. One runner (see _run_cells) turns any cell into a row:
-simulate, add noise, reconstruct, metrics. A clean dataset is simulated
-once and shared, so a sweep over loss weights or iterations solves the
-forward problem once. Cells are keyed by a hash of everything their result
-depends on, finished cells are skipped on resume, failed cells are
-recorded as `error` rows, and seeds are assigned deterministically per
-cell, so reruns reproduce tables exactly.
+Every study is points of named values on one grid (see _run_grid), each a
+cell that one runner (see _run_cells) simulates, noises, reconstructs and
+scores. A cell is keyed by what fixes its result, not by its labels: equal
+keys share one reconstruction, stored cells are loaded on resume and failed
+cells become `error` rows, so reruns reproduce tables exactly.
 """
 from __future__ import annotations
 
@@ -31,7 +27,8 @@ ABLATION_FLAGS = {"no_cco": {"use_cco": False}, "no_bridge": {"lambda3": 0.0},
                   "no_bound": {"lambda1": 0.0}, "no_tv": {"lambda2": 0.0}}
 # the axes that set a cell's dataset, with the types their values are read as;
 # every other axis is a scalar ImagingConfig field and sets the cell's config
-DATA_AXES = {"scene_eps": float, "snr_db": float, "draw": int}
+DATA_AXES = {"scene_eps": float, "snr_db": float, "draw": int, "sigma": float,
+             "realization": int}
 
 
 @dataclass
@@ -70,9 +67,15 @@ class StudySpec:
         for name, tp in DATA_AXES.items():
             for i, value in enumerate(self.axes.get(name, [])):
                 _read(tp, value, f"StudySpec.axes[{name!r}][{i}]", ConfigError)
-        negative = [s for s in self.sigmas if not s >= 0]
+        axes_snr = self.axes.get("snr_db", [])
+        snrs = {"snr_db": self.snr_db, **{f"snr_grid[{i}]": v for i, v in enumerate(
+            self.snr_grid)}, **{f"axes['snr_db'][{i}]": v for i, v in enumerate(axes_snr)}}
+        for where, snr in snrs.items():
+            if not snr > float("-inf"):    # NaN or -inf
+                raise ConfigError(f"StudySpec.{where} must be finite or +inf, got {snr}")
+        negative = [s for s in [*self.sigmas, *self.axes.get("sigma", [])] if not s >= 0]
         if negative:
-            raise ConfigError(f"StudySpec.sigmas: {negative} are not >= 0")
+            raise ConfigError(f"StudySpec.sigmas or axes['sigma']: {negative} are not >= 0")
         if self.n_realizations < 1:
             raise ConfigError(f"StudySpec.n_realizations: {self.n_realizations} is not >= 1")
 
@@ -116,61 +119,57 @@ METRIC_COLUMNS = ["rel_error", "loss_state", "loss_data", "loss_total", "compone
                   "peak_eps", "min_eps", "n_below_one", "gap_spurious", "views"]
 
 
-def _resume_or_run(out_dir, payload: dict, runner) -> dict:
-    """Load a finished cell from disk or run it; a raising runner gives an `error` row."""
-    key = json_digest(payload)[:20]
-    cell_file = None if out_dir is None else Path(out_dir) / "cells" / f"{key}.json"
+def _resume_or_run(out_dir, key: dict, runner) -> dict:
+    """Load a finished cell from disk or run it; a raising runner gives {"error": ...}."""
+    digest = json_digest(key)[:20]
+    cell_file = None if out_dir is None else Path(out_dir) / "cells" / f"{digest}.json"
     if cell_file is not None and cell_file.exists():
         return read_json(cell_file)
     try:
-        row = runner()
+        result = runner()
     except Exception as exc:  # record the failure, keep the study going
-        row = dict(payload, error=f"{type(exc).__name__}: {exc}")
+        result = {"error": f"{type(exc).__name__}: {exc}"}
     if cell_file is not None:
         cell_file.parent.mkdir(parents=True, exist_ok=True)
-        write_json(cell_file, row)
-    return row
+        write_json(cell_file, result)
+    return result
 
 
 def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -> list[dict]:
-    """Turn a study's cells into rows, in order; a cell is
-    (params, config, eps, snr_db, draw, sigma).
+    """Turn a study's cells (labels, config, key) into rows, in order.
 
-    A cell draws from default_rng(draw): first the antenna jitter, when
-    sigma is not None, then the noise at snr_db. Its clean dataset, the
-    scene at contrast eps on the (jittered) array, is simulated on first
-    use and shared by every later cell with the same contrast, array and
-    SIMULATE_FIELDS values. The reconstruction uses the nominal array, and
-    the row is the params plus the cell metrics.
-
-    A cell's key hashes the study name, the cell's config hash, the scene,
-    the study seed and the params, which must fix the draw. A cell that
-    raises becomes a row of its key fields plus `error`. With an out_dir, a
-    stored cell is loaded instead of run, and the columns that occur in any
-    row are written to <name>.csv.
+    The key fixes the result: the config hash, the scene (name, contrast,
+    scale), the array (None for the nominal one, else [sigma, s]: jittered
+    by default_rng(s)), the SNR and the noise's default_rng seed (None at
+    infinite SNR). Equal keys run one reconstruction, on the nominal array;
+    a row is its labels plus its key's metrics, or `error`. Cells with one
+    contrast, array and SIMULATE_FIELDS share a clean dataset. With an
+    out_dir, metrics are stored in cells/ under the key and loaded instead
+    of run, and the columns any row has are written to <name>.csv.
     """
     clean: dict[tuple, SimulationResult] = {}
 
-    def run(params, config, eps, snr_db, draw, sigma) -> dict:
-        rng = np.random.default_rng(draw)
+    def run(config, key) -> dict:
+        (_, eps, _), jitter = key["scene"], key["array"]
         nominal = build_array(config)
-        array = nominal if sigma is None else perturb_array(nominal, sigma, rng)
-        key = (eps, *(getattr(config, f) for f in SIMULATE_FIELDS),
-               array.tx_positions.tobytes(), array.rx_positions.tobytes())
-        if key not in clean:
-            clean[key] = simulate(config, spec.scene(eps), array=array)
-        sim = clean[key]
-        data = add_awgn(sim.data, snr_db, rng)
+        array = nominal if jitter is None else perturb_array(
+            nominal, jitter[0], np.random.default_rng(jitter[1]))
+        fixed = (eps, *(getattr(config, f) for f in SIMULATE_FIELDS),
+                 array.tx_positions.tobytes(), array.rx_positions.tobytes())
+        if fixed not in clean:
+            clean[fixed] = simulate(config, spec.scene(eps), array=array)
+        sim = clean[fixed]
+        data = add_awgn(sim.data, key["snr_db"], np.random.default_rng(key["noise"]))
         result = reconstruct(config, data, array=nominal, chi_true=sim.chi_true)
-        return {**params, **_cell_metrics(result, sim.chi_true.values)}
+        return _cell_metrics(result, sim.chi_true.values)
 
+    results: dict[str, dict] = {}
     rows = []
-    for cell in cells:
-        params, config = cell[:2]
-        payload = {"study": name, "config": config_hash(config),
-                   "scene": [spec.scene_name, spec.scene_eps, spec.scene_scale],
-                   "seed": spec.seed, **params}
-        rows.append(_resume_or_run(out_dir, payload, lambda: run(*cell)))
+    for labels, config, key in cells:
+        digest = json_digest(key)
+        if digest not in results:
+            results[digest] = _resume_or_run(out_dir, key, lambda: run(config, key))
+        rows.append({**labels, **results[digest]})
     if out_dir is not None:
         columns = [c for c in columns + ["error"] if any(c in r for r in rows)]
         write_csv(study_csvs(name, out_dir)[0], columns, rows)
@@ -181,30 +180,36 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
 # Studies
 
 
-def _run_grid(name: str, spec: StudySpec, points: list[dict], out_dir) -> list[dict]:
-    """One cell per point of named values, in order. `scene_eps`, `snr_db`
-    (the spec's where a point has none) and `draw` set its dataset, config
-    field names its config, and other names (`variant`) only label it.
-    A cell draws from default_rng(seed + k), k its dataset's index in order
-    of first appearance, so cells that differ only in settings reconstruct
-    identical noisy data. The CSV has the first point's names, then
-    METRIC_COLUMNS."""
-    datasets: dict[tuple, int] = {}
-    cells = []
+def _run_grid(name: str, spec: StudySpec, points: list[dict], out_dir,
+              columns: list[str] | None = None) -> list[dict]:
+    """One cell per point of named values, in order. DATA_AXES set its dataset
+    (`scene_eps` and `snr_db` default to the spec's), config field names its
+    config, and other names (`variant`) only label it. A finite SNR draws
+    noise from default_rng(seed + k), k the dataset's index in order of first
+    appearance, so cells that differ only in settings share noisy data. A
+    `sigma` jitters the array by default_rng((seed, si, r)), si the sigma's
+    index in order of first appearance, r the point's `realization` (or 0).
+    The CSV has `columns`, by default the first point's names, METRIC_COLUMNS."""
+    datasets, sigmas, cells = {}, {}, []      # dataset -> k, sigma -> si
     for idx, point in enumerate(points):
         eps, snr = point.get("scene_eps", spec.scene_eps), point.get("snr_db", spec.snr_db)
-        k = datasets.setdefault((eps, snr, point.get("draw")), len(datasets))
+        sigma, r = point.get("sigma"), point.get("realization")
+        k = datasets.setdefault((eps, snr, point.get("draw"), sigma, r), len(datasets))
         fields = {n: v for n, v in point.items() if n in SCALAR_FIELDS}
         cfg = config_from_dict({**config_to_dict(spec.config), **fields})
+        array = None if sigma is None else [
+            sigma, (spec.seed, sigmas.setdefault(sigma, len(sigmas)), r or 0)]
+        key = {"config": config_hash(cfg), "scene": [spec.scene_name, eps, spec.scene_scale],
+               "array": array, "snr_db": snr, "noise": spec.seed + k if np.isfinite(snr) else None}
         cells.append(({"cell": idx, "dataset": k, "scene_eps": eps, "snr_db": snr, **point},
-                      cfg, eps, snr, spec.seed + k, None))
+                      cfg, key))
     names = list(points[0]) if points else []
-    return _run_cells(name, spec, cells, out_dir, names + METRIC_COLUMNS)
+    return _run_cells(name, spec, cells, out_dir, columns or names + METRIC_COLUMNS)
 
 
 def run_sweep(spec: StudySpec, out_dir=None) -> list[dict]:
     """Cartesian sweep over `axes` in spec order: config fields (e.g. beta,
-    m_f, k_iters) and the data axes scene_eps, snr_db and draw."""
+    m_f, k_iters) and DATA_AXES."""
     points = [dict(zip(spec.axes, values)) for values in itertools.product(*spec.axes.values())]
     return _run_grid("sweep", spec, points, out_dir)
 
@@ -241,8 +246,7 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
     """Full pipeline versus single-switch ablations: points of one dataset,
-    so every variant draws its noise from default_rng(seed), and a fully
-    resumed study solves nothing."""
+    so every variant draws its noise from default_rng(seed)."""
     points = [{"variant": "full"}] + [{"variant": name, **ABLATION_FLAGS[name]}
                                       for name in spec.ablations]
     rows = _run_grid("ablation", spec, points, out_dir)
@@ -250,24 +254,20 @@ def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:
 
 
 def run_monte_carlo(spec: StudySpec, out_dir=None) -> dict[float, dict]:
-    """Antenna-position uncertainty: data from perturbed arrays, inversion
-    with the nominal geometry. Realization r of sigma number si draws from
-    default_rng((seed, si, r)). Returns per-sigma error lists plus
-    five-number summaries over the realizations that did not fail (NaN when
-    none succeeded)."""
-    cells = [({"sigma": sigma, "sigma_index": si, "realization": r}, spec.config,
-              spec.scene_eps, float("inf"), (spec.seed, si, r), sigma)
-             for si, sigma in enumerate(map(float, spec.sigmas))
-             for r in range(spec.n_realizations)]
-    rows = _run_cells("monte_carlo", spec, cells, out_dir, ["sigma", "realization", "rel_error"])
+    """Antenna-position uncertainty: the points sigma x realization, noise-free
+    data from jittered arrays, inversion on the nominal one. Returns per-sigma
+    error lists and five-number summaries over the realizations that did not
+    fail (NaN when none succeeded)."""
+    points = [{"sigma": float(sigma), "realization": r, "snr_db": float("inf")}
+              for sigma in spec.sigmas for r in range(spec.n_realizations)]
+    rows = _run_grid("monte_carlo", spec, points, out_dir, ["sigma", "realization", "rel_error"])
 
     out: dict[float, dict] = {}
     stats = ("min", "q1", "median", "q3", "max")
-    for sigma in spec.sigmas:
-        errs = np.array([r["rel_error"] for r in rows
-                         if r["sigma"] == float(sigma) and "error" not in r])
+    for sigma in map(float, spec.sigmas):
+        errs = np.array([r["rel_error"] for r in rows if r["sigma"] == sigma and "error" not in r])
         q = np.percentile(errs, [0, 25, 50, 75, 100]) if errs.size else np.full(5, np.nan)
-        out[float(sigma)] = {"errors": errs.tolist(), "stats": dict(zip(stats, q))}
+        out[sigma] = {"errors": errs.tolist(), "stats": dict(zip(stats, q))}
     if out_dir is not None:
         write_csv(study_csvs("monte_carlo", out_dir)[1], ["sigma", *stats],
                   [{"sigma": s, **v["stats"]} for s, v in out.items()])

@@ -142,6 +142,8 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "spec snr_db axis text": (["study", "--spec", "{d}/snr_axis.json"],
                               "StudySpec.axes['snr_db'][1]: expected float, got 'abc'"),
     "spec snr_grid": (["study", "--spec", "{d}/snr_grid.json"], "StudySpec.snr_grid"),
+    "spec snr_db axis nan": (["study", "--spec", "{d}/snr_nan.json"],
+                             "StudySpec.axes['snr_db'][1] must be finite or +inf, got nan"),
     "spec scene_name noise": (["study", "--spec", "{d}/scene_noise.json"],
                               "StudySpec.scene_name"),
     "spec scene_name sweep": (["study", "--spec", "{d}/scene_sweep.json"],
@@ -175,6 +177,8 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
                                    "config": TINY_CONFIG})
     _json(tmp_path / "snr_axis.json", {"kind": "sweep", "axes": {"snr_db": [10.0, "abc"]},
                                        "config": TINY_CONFIG})
+    _json(tmp_path / "snr_nan.json", {"kind": "sweep", "axes": {"snr_db": [10.0, float("nan")]},
+                                      "config": TINY_CONFIG})
     (tmp_path / "inf.exp").write_text("1 1 1.0 1.0 0.0 0.5 0.0\ninf 1 5 1 1 1 1\n")
     _json(tmp_path / "snr_grid.json", {"kind": "noise", "snr_grid": "abc",
                                        "config": TINY_CONFIG})

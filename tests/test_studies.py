@@ -1,8 +1,10 @@
 """Study harness: specs, cell resume, gap metrics, and the four study kinds."""
+import re
+
 import numpy as np
 import pytest
 
-from pdfisp.config import ImagingConfig, config_to_dict
+from pdfisp.config import ConfigError, ImagingConfig, config_to_dict
 from pdfisp.studies import (StudySpec, _resume_or_run, gap_mask, load_study_spec,
                             run_ablation, run_monte_carlo, run_noise_study,
                             run_study, run_sweep, save_study_spec, spec_from_dict,
@@ -36,6 +38,19 @@ def test_spec_round_trip(tmp_path, small_spec):
 def test_spec_rejects_unknown_scene(kind):
     with pytest.raises(ValueError, match="StudySpec.scene_name: unknown preset scene 'nonagon'"):
         StudySpec(kind=kind, scene_name="nonagon")
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({"snr_db": float("nan")}, "snr_db"),
+    ({"snr_db": float("-inf")}, "snr_db"),
+    ({"snr_grid": (10.0, float("-inf"))}, "snr_grid[1]"),
+    ({"axes": {"snr_db": [5.0, float("nan")]}}, "axes['snr_db'][1]"),
+    ({"kind": "noise", "snr_grid": (float("nan"),)}, "snr_grid[0]"),
+])
+def test_spec_refuses_nan_and_minus_inf_snr(fields, where):
+    """A NaN or -inf SNR is refused when the spec is built, not per cell."""
+    with pytest.raises(ConfigError, match=re.escape(f"StudySpec.{where} must be finite or +inf")):
+        StudySpec(**fields)
 
 
 def test_spec_from_dict_defaults():
@@ -229,8 +244,9 @@ def test_sweep_solves_once_per_dataset(monkeypatch, small_spec, axis, values, n_
 
 def test_sweep_cells_at_one_dataset_share_their_noisy_data(tmp_path, small_spec, monkeypatch):
     """Data axes set the dataset, config axes only the settings: cells that
-    differ in beta alone reconstruct identical noisy data, and each draw
-    label is a noise draw of its own."""
+    differ in beta alone reconstruct identical noisy data, each draw label
+    at a finite SNR is a noise draw of its own, and noise-free cells of
+    either draw label share one reconstruction."""
     import dataclasses
 
     from pdfisp import studies
@@ -238,16 +254,16 @@ def test_sweep_cells_at_one_dataset_share_their_noisy_data(tmp_path, small_spec,
 
     spec = dataclasses.replace(small_spec, kind="sweep", seed=7, axes={
         "beta": [4.0, 6.0], "snr_db": [float("inf"), 5.0], "draw": [0, 1]})
-    data = []
+    calls = []
     real = studies.reconstruct
 
     def captured(config, measured, **kwargs):
-        data.append(measured.matrix.copy())
+        calls.append((config.beta, measured.matrix.copy()))
         return real(config, measured, **kwargs)
 
     monkeypatch.setattr(studies, "reconstruct", captured)
     rows = run_sweep(spec, out_dir=tmp_path)
-    assert len(rows) == len(data) == 8 and not any("error" in r for r in rows)
+    assert len(rows) == 8 and not any("error" in r for r in rows)
     # axes are walked in spec order, and the CSV columns follow it
     assert [(r["beta"], r["snr_db"], r["draw"]) for r in rows[:3]] == [
         (4.0, float("inf"), 0), (4.0, float("inf"), 1), (4.0, 5.0, 0)]
@@ -255,11 +271,25 @@ def test_sweep_cells_at_one_dataset_share_their_noisy_data(tmp_path, small_spec,
     assert header[:4] == ["beta", "snr_db", "draw", "rel_error"] and header[-1] == "views"
     assert all(1 <= r["views"] <= 8 for r in rows)
 
+    # one reconstruction per beta, SNR and, at a finite SNR, draw: 6 for 8 rows
+    def result_of(row):
+        return row["beta"], row["snr_db"], row["draw"] if np.isfinite(row["snr_db"]) else None
+
+    distinct = list(dict.fromkeys(map(result_of, rows)))
+    assert [beta for beta, _ in calls] == [beta for beta, _, _ in distinct] and len(calls) == 6
+    data = dict(zip(distinct, (matrix for _, matrix in calls)))
+    assert len(list((tmp_path / "cells").iterdir())) == 6
+    for pair in (rows[0:2], rows[4:6]):     # draws 0 and 1 at inf dB, at beta 4 and 6
+        assert [r["draw"] for r in pair] == [0, 1]
+        first, second = ({k: v for k, v in r.items() if k not in ("cell", "dataset", "draw")}
+                         for r in pair)
+        assert first == second                 # wall_time too: one result, two rows
+
     by_dataset = {}
-    for row, matrix in zip(rows, data):
+    for row in rows:
         assert row["dataset"] == [(s, d) for s in (float("inf"), 5.0)
                                   for d in (0, 1)].index((row["snr_db"], row["draw"]))
-        by_dataset.setdefault((row["snr_db"], row["draw"]), []).append(matrix)
+        by_dataset.setdefault((row["snr_db"], row["draw"]), []).append(data[result_of(row)])
     for matrices in by_dataset.values():
         assert len(matrices) == 2 and np.array_equal(*matrices)      # beta 4 and 6
     noisy = by_dataset[(5.0, 0)][0], by_dataset[(5.0, 1)][0]
@@ -280,6 +310,74 @@ def test_yardstick_spec_carries_the_robustness_axes():
         ("scene_eps", [2.0, 5.0, 8.0]), ("snr_db", [float("inf"), 10.0, 5.0, 1.0]),
         ("draw", list(range(10))), ("fine_forward", [False, True]), ("k_iters", [50, 100, 200])]
     assert spec.config == ImagingConfig()
+
+
+def test_yardstick_runs_one_reconstruction_per_distinct_cell(tmp_path, monkeypatch):
+    """The yardstick's 720 rows need 558 reconstructions: its 180 noise-free
+    cells hold 18 results (contrast x fine_forward x k_iters), one for all
+    ten draw labels. simulate and reconstruct are stubbed, so nothing heavy
+    runs; a rerun with the draw labels renamed loads every cell."""
+    import dataclasses
+    import itertools
+    from pathlib import Path
+    from types import SimpleNamespace
+
+    from pdfisp import studies
+    from pdfisp.forward import ScatteredData
+
+    sims, recons = [], []
+    chi_true = SimpleNamespace(values=np.zeros((4, 4)))
+
+    def fake_simulate(config, scene, array):
+        sims.append(1)
+        return SimpleNamespace(data=ScatteredData(matrix=np.ones((2, 2), dtype=complex)),
+                               chi_true=chi_true)
+
+    def fake_reconstruct(config, data, array, chi_true):
+        recons.append(1)
+        loss = SimpleNamespace(state=0.0, data=0.0, total=0.0)
+        return SimpleNamespace(eps_r=np.ones((4, 4)), final_loss=loss, wall_time=0.0, n_views=2,
+                               rel_error=float(np.abs(data.matrix).sum()))
+
+    monkeypatch.setattr(studies, "simulate", fake_simulate)
+    monkeypatch.setattr(studies, "reconstruct", fake_reconstruct)
+    spec = load_study_spec(Path(__file__).parents[1] / "specs" / "yardstick.json")
+    rows = run_sweep(spec, out_dir=tmp_path)
+    points = list(itertools.product(*spec.axes.values()))
+    assert len(rows) == len(points) == 720 and not any("error" in r for r in rows)
+    assert [tuple(r[a] for a in spec.axes) for r in rows] == points
+    assert [r["cell"] for r in rows] == list(range(720))
+    datasets = list(dict.fromkeys(p[:3] for p in points))      # contrast, SNR, draw
+    assert [r["dataset"] for r in rows] == [datasets.index(p[:3]) for p in points]
+    assert len(recons) == 558 and len(sims) == 6                # 540 noisy + 18 noise-free
+    assert len(list((tmp_path / "cells").iterdir())) == 558
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 721
+
+    relabelled = dataclasses.replace(spec, axes={**spec.axes, "draw": list(range(10, 20))})
+    again = run_sweep(relabelled, out_dir=tmp_path)
+    assert len(recons) == 558 and len(sims) == 6
+    assert [r["draw"] for r in again] == [r["draw"] + 10 for r in rows]
+    assert [r["rel_error"] for r in again] == [r["rel_error"] for r in rows]
+
+
+def test_monte_carlo_is_the_sigma_realization_points_of_a_sweep(tmp_path, small_spec,
+                                                                 monkeypatch):
+    """A sweep over `sigma` x `realization` draws the Monte Carlo arrays, so
+    it finds every Monte Carlo cell stored and reconstructs nothing."""
+    import dataclasses
+
+    spec = dataclasses.replace(small_spec, kind="monte_carlo", sigmas=(0.001, 0.004),
+                               n_realizations=2, seed=3)
+    out = run_monte_carlo(spec, out_dir=tmp_path)
+    assert len(list((tmp_path / "cells").iterdir())) == 4
+
+    calls = _count_reconstructs(monkeypatch)
+    sweep = dataclasses.replace(spec, kind="sweep",
+                                axes={"sigma": [0.001, 0.004], "realization": [0, 1]})
+    rows = run_sweep(sweep, out_dir=tmp_path)
+    assert calls == []
+    assert [r["rel_error"] for r in rows] == out[0.001]["errors"] + out[0.004]["errors"]
+    assert len(set(out[0.001]["errors"] + out[0.004]["errors"])) == 4
 
 
 def test_noise_study_builds_the_operators_once(small_spec, operator_builds):
