@@ -2,7 +2,7 @@
 
 Stages: backprojection imaging for a coarse contrast estimate, a single
 exact-line-search step of the frozen-contrast quadratic objective to seed
-the spectral coefficients, the principal views of noise-free data (see
+the spectral coefficients, the principal views of fully measured data (see
 `principal_views`), k iterations of network-parameterized descent on the
 composite loss, per-pixel contrast recovery, and contrast-compensated
 post-filtering.
@@ -31,6 +31,7 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to the first
 NOISE_FREE_RANK = 1e-10  # data with s_min <= this * s_0 count as noise free
 VIEW_TAIL_ENERGY = 1e-6  # principal views drop at most this share of the data's energy
+INCIDENT_TAIL_ENERGY = 1e-4  # on other data, of the incident fields' energy
 
 
 @dataclass(frozen=True)
@@ -248,18 +249,28 @@ def csi_descent(obj: CsiObjective, n_views: int, target_data_loss: float,
 
 def principal_views(data: ScatteredData, e_inc: np.ndarray, alpha0: np.ndarray
                     ) -> tuple[ScatteredData, np.ndarray, np.ndarray]:
-    """The data's signal-bearing view directions, or the inputs themselves.
+    """The signal-bearing view directions of fully measured data, or the
+    inputs themselves.
 
     A unitary mix U^H of the views, applied to the data rows, the incident
     fields (n, m1, m2) and the coefficients alpha0 (n, m0), leaves every
     loss term unchanged: the view sums, the data residual and the
     penalties. With D = U S V^H, the rotated data rows beyond index q hold
-    only the tail energy sum_{k>=q} s_k^2, so on noise-free data, whose
+    only the tail energy sum_{k>=q} s_k^2. On noise-free data, whose
     singular values fall to rounding level (s_min <= NOISE_FREE_RANK *
     s_0), the loop keeps the smallest q whose tail is at most
-    VIEW_TAIL_ENERGY of the total and drops the rest. Noisy data (noise
-    fills the tail), partly measured data (a mix does not keep a partial
-    mask) and data that need every view come back as the same objects.
+    VIEW_TAIL_ENERGY of the total and drops the rest.
+
+    Noise fills the data's tail, so other data take their directions from
+    the incident fields instead: the clean data are E_inc-linear (D = E_inc
+    M), so their view space lies in that of the incident fields, whose
+    direction energies are the eigenvalues of the n x n Gram matrix E_inc
+    E_inc^H. The loop keeps the smallest q whose tail is at most
+    INCIDENT_TAIL_ENERGY of the total (21 of 36 views on the default ring);
+    the dropped directions carry noise and almost no signal. The mix
+    depends on the geometry only. Partly measured data (a mix does not keep
+    a partial mask) and data that need every view come back as the same
+    objects.
 
     The network is not invariant: it maps each row alone, with per-mode
     scales shared by all rows, so the kept rows should look like views.
@@ -268,15 +279,20 @@ def principal_views(data: ScatteredData, e_inc: np.ndarray, alpha0: np.ndarray
     The kept rows are therefore the orthonormal rows of the kept subspace
     closest to q evenly spaced physical views (orthogonal Procrustes: the
     polar factor of those views' rows of U_q), which leaves no trace of the
-    SVD's arbitrary basis and phases.
+    basis and phases the decomposition happened to return.
     """
     if not data.mask.all():
         return data, e_inc, alpha0
     n = data.matrix.shape[0]
     u, s, _ = np.linalg.svd(data.matrix, full_matrices=False)
-    tail = np.cumsum((s * s)[::-1])[::-1]      # tail[k] = sum_{j>=k} s_j^2
-    q = int(np.count_nonzero(tail > VIEW_TAIL_ENERGY * tail[0]))
-    if s[-1] > NOISE_FREE_RANK * s[0] or not 0 < q < n:
+    energy, tail_share = s * s, VIEW_TAIL_ENERGY
+    if s[-1] > NOISE_FREE_RANK * s[0]:
+        flat = e_inc.reshape(n, -1)
+        w, v = np.linalg.eigh(flat @ flat.conj().T)    # ascending
+        energy, u, tail_share = w[::-1], v[:, ::-1], INCIDENT_TAIL_ENERGY
+    tail = np.cumsum(energy[::-1])[::-1]               # tail[k] = sum_{j>=k} energy_j
+    q = int(np.count_nonzero(tail > tail_share * tail[0]))
+    if not 0 < q < n:
         return data, e_inc, alpha0
     u_q = u[:, :q]
     x, _, yh = np.linalg.svd(u_q[np.rint(np.arange(q) * n / q).astype(int)])

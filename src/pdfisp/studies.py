@@ -189,7 +189,9 @@ def _run_grid(name: str, spec: StudySpec, points: list[dict], out_dir,
     appearance, so cells that differ only in settings share noisy data. A
     `sigma` jitters the array by default_rng((seed, si, r)), si the sigma's
     index in order of first appearance, r the point's `realization` (or 0).
-    The CSV has `columns`, by default the first point's names, METRIC_COLUMNS."""
+    The key reads the contrast, scale, SNR and sigma as floats, so 10 and
+    10.0 are one cell; rows keep the values as written. The CSV has
+    `columns`, by default the first point's names, METRIC_COLUMNS."""
     datasets, sigmas, cells = {}, {}, []      # dataset -> k, sigma -> si
     for idx, point in enumerate(points):
         eps, snr = point.get("scene_eps", spec.scene_eps), point.get("snr_db", spec.snr_db)
@@ -198,9 +200,10 @@ def _run_grid(name: str, spec: StudySpec, points: list[dict], out_dir,
         fields = {n: v for n, v in point.items() if n in SCALAR_FIELDS}
         cfg = config_from_dict({**config_to_dict(spec.config), **fields})
         array = None if sigma is None else [
-            sigma, (spec.seed, sigmas.setdefault(sigma, len(sigmas)), r or 0)]
-        key = {"config": config_hash(cfg), "scene": [spec.scene_name, eps, spec.scene_scale],
-               "array": array, "snr_db": snr, "noise": spec.seed + k if np.isfinite(snr) else None}
+            float(sigma), (spec.seed, sigmas.setdefault(sigma, len(sigmas)), r or 0)]
+        key = {"config": config_hash(cfg),
+               "scene": [spec.scene_name, float(eps), float(spec.scene_scale)], "array": array,
+               "snr_db": float(snr), "noise": spec.seed + k if np.isfinite(snr) else None}
         cells.append(({"cell": idx, "dataset": k, "scene_eps": eps, "snr_db": snr, **point},
                       cfg, key))
     names = list(points[0]) if points else []

@@ -8,9 +8,9 @@ import pytest
 from pdfisp.config import ImagingConfig
 from pdfisp.forward import ScatteredData, add_awgn, simulate
 from pdfisp.losses import loss_total
-from pdfisp.reconstruct import (VIEW_TAIL_ENERGY, CsiObjective, Problem, bp_initialize,
-                                count_components, csi_descent, init_alpha, principal_views,
-                                reconstruct, relative_error)
+from pdfisp.reconstruct import (INCIDENT_TAIL_ENERGY, VIEW_TAIL_ENERGY, CsiObjective, Problem,
+                                bp_initialize, count_components, csi_descent, init_alpha,
+                                principal_views, reconstruct, relative_error)
 from pdfisp.scenes import builtin_scene
 from pdfisp.studies import spurious_gap_pixels
 
@@ -267,20 +267,54 @@ def test_principal_views_of_noise_free_data(default_setup, austria2_sim):
     assert energy.min() > 0.5 * energy.max()
 
 
-def test_principal_views_keep_noisy_and_masked_data(default_setup, austria2_sim):
-    """Noise fills the tail and a mix does not keep a partial mask: the
-    helper hands back its very inputs."""
+def test_principal_views_of_noisy_and_masked_data(default_setup, austria2_sim, tiny_setup,
+                                                  tiny_sim):
+    """A mix does not keep a partial mask, so masked data come back as the
+    very inputs. Noisy default-grid data run on the incident fields' 21
+    principal views, by one mix that depends on the geometry only. The
+    16x16 eight-antenna incident fields need all 8 views, so noisy data
+    there come back as the very inputs too."""
     e_inc = default_setup.e_inc.views
-    alpha0 = np.ones((36, default_setup.basis.m0), dtype=complex)
+    alpha0 = np.eye(36, dtype=complex)      # the helper hands back its view mix
     clean = austria2_sim.data
-    cases = [add_awgn(clean, snr, np.random.default_rng(seed))
-             for snr in (60.0, 10.0, 1.0) for seed in range(10)]
     mask = np.ones(clean.matrix.shape, bool)
     mask[:, :6] = False
-    cases.append(ScatteredData(matrix=clean.matrix, mask=mask))
-    for data in cases:
-        out = principal_views(data, e_inc, alpha0)
-        assert out[0] is data and out[1] is e_inc and out[2] is alpha0, data.snr_db
+    masked = ScatteredData(matrix=clean.matrix, mask=mask)
+    out = principal_views(masked, e_inc, alpha0)
+    assert out[0] is masked and out[1] is e_inc and out[2] is alpha0
+
+    mixes = []
+    for snr in (60.0, 10.0, 1.0):
+        for seed in range(10):
+            data = add_awgn(clean, snr, np.random.default_rng(seed))
+            views, fields, mix = principal_views(data, e_inc, alpha0)
+            assert views.matrix.shape == (21, 36) and views.mask.all(), (snr, seed)
+            assert fields.shape == (21, 64, 64) and views.snr_db == snr
+            assert np.array_equal(views.matrix, mix @ data.matrix)
+            energy = np.sum(np.abs(views.matrix) ** 2, axis=1)
+            assert energy.min() > 0.5 * energy.max(), (snr, seed)
+            mixes.append(mix)
+    assert all(np.array_equal(mix, mixes[0]) for mix in mixes)
+    assert np.abs(mixes[0] @ mixes[0].conj().T - np.eye(21)).max() < 1e-12
+
+    tiny_e_inc = tiny_setup.e_inc.views
+    tiny_alpha0 = np.ones((8, tiny_setup.basis.m0), dtype=complex)
+    for seed in range(3):
+        data = add_awgn(tiny_sim.data, 10.0, np.random.default_rng(seed))
+        out = principal_views(data, tiny_e_inc, tiny_alpha0)
+        assert out[0] is data and out[1] is tiny_e_inc and out[2] is tiny_alpha0
+
+
+@pytest.mark.parametrize("eps", [2.0, 5.0, 8.0])
+def test_incident_views_hold_the_clean_data(default_config, default_setup, austria2_sim, eps):
+    """The premise of the noisy-data rule: clean data are linear in the
+    incident fields, so the views kept from them hold all but at most
+    INCIDENT_TAIL_ENERGY of the clean data's energy."""
+    noisy = add_awgn(austria2_sim.data, 10.0, np.random.default_rng(0))
+    _, _, mix = principal_views(noisy, default_setup.e_inc.views, np.eye(36))
+    clean = simulate(default_config, builtin_scene("austria", eps)).data.matrix
+    kept = np.linalg.norm(mix @ clean) ** 2 / np.linalg.norm(clean) ** 2
+    assert 1.0 - INCIDENT_TAIL_ENERGY <= kept <= 1.0 + 1e-12
 
 
 def test_nonfinite_data_rejected_before_the_view_rule(quick_cfg, tiny_sim, monkeypatch):

@@ -498,3 +498,18 @@ def test_run_study_dispatch(small_spec):
         run_study(dataclasses.replace(small_spec, kind="bogus"))
     out = run_study(dataclasses.replace(small_spec, kind="ablation", ablations=()))
     assert set(out) == {"full"}
+
+
+def test_a_data_axis_value_written_as_int_or_float_is_one_cell(tmp_path, small_spec,
+                                                                monkeypatch):
+    """`snr_db` 10 and 10.0 fix one result: the second sweep loads the first
+    one's cell and writes the same CSV."""
+    import dataclasses
+
+    spec = dataclasses.replace(small_spec, axes={"snr_db": [10]})
+    rows = run_sweep(spec, out_dir=tmp_path)
+    csv = (tmp_path / "sweep.csv").read_text()
+    calls = _count_reconstructs(monkeypatch)
+    again = run_sweep(dataclasses.replace(spec, axes={"snr_db": [10.0]}), out_dir=tmp_path)
+    assert calls == []
+    assert again == rows and (tmp_path / "sweep.csv").read_text() == csv
