@@ -305,14 +305,20 @@ def test_principal_views_of_noisy_and_masked_data(default_setup, austria2_sim, t
         assert out[0] is data and out[1] is tiny_e_inc and out[2] is tiny_alpha0
 
 
-@pytest.mark.parametrize("eps", [2.0, 5.0, 8.0])
-def test_incident_views_hold_the_clean_data(default_config, default_setup, austria2_sim, eps):
+@pytest.mark.parametrize("eps, fine", [
+    (2.0, False), (5.0, False), (8.0, False),
+    pytest.param(2.0, True, marks=pytest.mark.slow, id="2.0-fine_forward")])
+def test_incident_views_hold_the_clean_data(default_config, default_setup, austria2_sim,
+                                            eps, fine):
     """The premise of the noisy-data rule: clean data are linear in the
     incident fields, so the views kept from them hold all but at most
-    INCIDENT_TAIL_ENERGY of the clean data's energy."""
+    INCIDENT_TAIL_ENERGY of the clean data's energy. That holds off the
+    inverse crime too: data simulated on the 2x finer grid (fine_forward)
+    against the views of the coarse grid's incident fields."""
     noisy = add_awgn(austria2_sim.data, 10.0, np.random.default_rng(0))
     _, _, mix = principal_views(noisy, default_setup.e_inc.views, np.eye(36))
-    clean = simulate(default_config, builtin_scene("austria", eps)).data.matrix
+    cfg = replace(default_config, fine_forward=fine)
+    clean = simulate(cfg, builtin_scene("austria", eps)).data.matrix
     kept = np.linalg.norm(mix @ clean) ** 2 / np.linalg.norm(clean) ** 2
     assert 1.0 - INCIDENT_TAIL_ENERGY <= kept <= 1.0 + 1e-12
 
