@@ -2,7 +2,8 @@
 
 Subcommands: simulate, reconstruct, study, fresnel, render, rerun.
 Exit codes: 0 success, 1 usage error, 2 runtime error. simulate, reconstruct,
-study and fresnel write their files into --out and return them; `main` then
+study and fresnel write their files into --out and return them (metrics.json
+of a reconstruction is `reconstruct.result_metrics`); `main` then
 writes the one manifest.json, recording argv, seed, library versions, wall
 time and sha256 hashes of the inputs (a scene file included) and of exactly
 those files. `rerun` replays a manifest into a scratch directory and checks
@@ -14,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .config import (SCALAR_FIELDS, ImagingConfig, config_from_dict, config_hash
 from .forward import simulate
 from .fresnel import (FresnelError, fresnel_config, load_fresnel, to_hz,
                       write_synthetic_foamdiel)
-from .reconstruct import ReconstructionResult, count_components, reconstruct
+from .reconstruct import ReconstructionResult, reconstruct, result_metrics
 from .scenes import resolve_scene
 from .studies import load_study_spec, run_study, study_csvs
 
@@ -81,18 +81,12 @@ def _write(args, files: dict) -> list[Path]:
     return [out / name for name in files]
 
 
-def _result_files(config: ImagingConfig, result: ReconstructionResult) -> dict:
-    """Writers of the reconstruction artifacts by file name; eps_r.pgm spans
-    1 to max(1.5, peak eps), and `render` gives any other range."""
+def _result_files(config: ImagingConfig, result: ReconstructionResult, truth=None) -> dict:
+    """Writers of the reconstruction artifacts by file name; metrics.json is
+    `result_metrics`, and eps_r.pgm spans 1 to max(1.5, peak eps), which
+    `render` gives any other range."""
     eps = result.eps_r.real
-    metrics = {
-        "final_loss": asdict(result.final_loss),
-        "rel_error": result.rel_error,
-        "peak_eps": float(eps.max()),
-        "min_eps": float(eps.min()),
-        "components_above_1p5": count_components(eps, 1.5),
-        "views": result.n_views,
-    }
+    metrics = result_metrics(result, truth)
     return {
         "config.json": lambda p: save_config(p, config),
         "chi.grid": lambda p: fileio.save_grid(p, result.chi_cco,
@@ -131,7 +125,7 @@ def _cmd_reconstruct(args):
     truth = fileio.load_grid(args.truth) if args.truth else None
     result = reconstruct(cfg, data, chi_true=truth)
     inputs = [p for p in (args.config, args.data, args.truth) if p]
-    return cfg.rng_seed, inputs, _write(args, _result_files(cfg, result)), None
+    return cfg.rng_seed, inputs, _write(args, _result_files(cfg, result, truth)), None
 
 
 def _cmd_study(args):

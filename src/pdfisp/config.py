@@ -110,18 +110,15 @@ class ImagingConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"ImagingConfig.{name} must be > 0, got {value!r}")
-        for name in ("lambda1", "lambda2", "lambda3"):
+        lows = {"lambda1": 0, "lambda2": 0, "lambda3": 0, "k_iters": 0, "m1": 1, "m2": 1,
+                "n_tx": 1, "n_rx": 1}
+        for name, low in lows.items():
             value = getattr(self, name)
-            if not value >= 0:
-                raise ConfigError(f"ImagingConfig.{name} must be >= 0, got {value!r}")
-        if self.m1 < 1 or self.m2 < 1:
-            raise ConfigError("grid counts must be >= 1")
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ConfigError("antenna counts must be >= 1")
+            if not value >= low:
+                raise ConfigError(f"ImagingConfig.{name} must be >= {low}, got {value!r}")
         if self.m_f < 1 or 2 * self.m_f > min(self.m1, self.m2):
-            raise ConfigError("m_f must satisfy 1 <= m_f and 2*m_f <= min(m1, m2)")
-        if self.k_iters < 0:
-            raise ConfigError("k_iters must be >= 0")
+            raise ConfigError(f"ImagingConfig.m_f must satisfy 1 <= m_f and 2*m_f <= min(m1, m2)"
+                              f" = {min(self.m1, self.m2)}, got {self.m_f!r}")
         # antennas must sit strictly outside the domain
         if not self.radius > self.doi_side * (2.0 ** 0.5) / 2.0:
             raise ConfigError(f"ImagingConfig.ring_radius must exceed doi_side*sqrt(2)/2, "

@@ -339,7 +339,8 @@ def solve_total_field(chi: ComplexGrid, e_inc: FieldSet, ops: GreensOperators,
     chi_arr = chi.values
     b = e_inc.views
     if chi_arr.shape != b.shape[-2:]:
-        raise ValueError("contrast grid and incident views disagree in shape")
+        raise ValueError(f"contrast grid of shape {chi_arr.shape} and incident views of "
+                         f"shape {b.shape} disagree in shape")
     support = np.flatnonzero(chi_arr)
     if support.size <= DENSE_MAX_CELLS:
         x, residuals, steps = _solve_support(chi_arr, support, b, ops, tol, maxiter)
@@ -372,7 +373,8 @@ def synthesize_scattered(chi: ComplexGrid, e_tot: FieldSet, ops: GreensOperators
     """Receiver measurements E_sca = G_S (chi * E_tot), one row per view."""
     j = (chi.values * e_tot.views).reshape(e_tot.n_views, -1)
     if j.shape[1] != ops.gs_matrix.shape[1]:
-        raise ValueError("current vectors and G_S disagree in size")
+        raise ValueError(f"current vectors of length {j.shape[1]} and G_S of shape "
+                         f"{ops.gs_matrix.shape} disagree in size")
     return ScatteredData(matrix=j @ ops.gs_matrix.T)
 
 

@@ -259,7 +259,8 @@ def adam_step(state: AdamState, params: NetworkParams,
     hold nonfinite entries and every later step with this state raises too.
     """
     if grad.shape != params.flat.shape:
-        raise ValueError("gradient length does not match parameter count")
+        raise ValueError(f"gradient of shape {grad.shape} does not match the "
+                         f"{params.flat.size} network parameters")
     t = state.step + 1
     root_c2 = np.sqrt(1.0 - ADAM_B2 ** t)
     a = state.lr * root_c2 / (1.0 - ADAM_B1 ** t)

@@ -32,6 +32,7 @@ CONVERGED_GRAD = 1e-14   # csi_descent stops at this gradient norm relative to t
 NOISE_FREE_RANK = 1e-10  # data with s_min <= this * s_0 count as noise free
 VIEW_TAIL_ENERGY = 1e-6  # principal views drop at most this share of the data's energy
 INCIDENT_TAIL_ENERGY = 1e-4  # on other data, of the incident fields' energy
+SCATTERER_EPS = 1.5      # the reported metrics count Re eps above this as scatterer
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,9 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     t0 = time.perf_counter()
     problem = Problem.build(config, array)
     if data.matrix.shape != (problem.array.n_tx, problem.array.n_rx):
-        raise ValueError("data matrix does not match the antenna array")
+        raise ValueError(f"data matrix of shape {data.matrix.shape} does not match the antenna "
+                         f"array of {problem.array.n_tx} transmitters and "
+                         f"{problem.array.n_rx} receivers")
     ctx = problem.loss_context(data)   # rejects unusable data before any numerics
 
     _, r0 = bp_initialize(data, problem.e_inc, problem.ops, config.beta)
@@ -375,3 +378,40 @@ def count_components(eps_map: np.ndarray, threshold: float) -> int:
     mask = np.real(eps_map) > threshold
     _, n = ndimage.label(mask, structure=FOUR_CONN)
     return int(n)
+
+
+def gap_mask(chi_true: np.ndarray, dilate: int = 5) -> np.ndarray:
+    """Pixels between nearby scatterers where bridging artifacts would sit.
+
+    Each 4-connected component of the true support is dilated separately;
+    gap pixels are covered by at least two dilated components yet lie
+    outside the support itself.
+    """
+    support = np.abs(chi_true) > 0
+    labels, n = ndimage.label(support, structure=FOUR_CONN)
+    cover = np.zeros(support.shape, dtype=np.int32)
+    for lab in range(1, n + 1):
+        cover += ndimage.binary_dilation(labels == lab, structure=FOUR_CONN,
+                                         iterations=dilate).astype(np.int32)
+    return (cover >= 2) & ~support
+
+
+def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
+                        threshold: float = SCATTERER_EPS, dilate: int = 5) -> int:
+    mask = gap_mask(chi_true, dilate=dilate)
+    return int(np.sum((np.real(eps_map) > threshold) & mask))
+
+
+def result_metrics(result: ReconstructionResult, chi_true: ComplexGrid | None = None) -> dict:
+    """A reconstruction's reported numbers, `metrics.json` and every study row:
+    each final loss term as `loss_<term>`, the `components` of Re eps above
+    SCATTERER_EPS, the `n_below_one` pixels below 1. The truth-based
+    `rel_error` (as `reconstruct` reported it) and `gap_spurious` are None
+    without a truth."""
+    eps = result.eps_r.real
+    gap = None if chi_true is None else spurious_gap_pixels(eps, chi_true.values)
+    return {"rel_error": result.rel_error,
+            **{f"loss_{term}": value for term, value in vars(result.final_loss).items()},
+            "components": count_components(eps, SCATTERER_EPS), "peak_eps": float(eps.max()),
+            "min_eps": float(eps.min()), "n_below_one": int(np.sum(eps < 1.0)),
+            "gap_spurious": gap, "views": result.n_views}

@@ -114,7 +114,8 @@ class SpectralOperators:
     def build(cls, ops: GreensOperators, basis: SpectralBasis) -> "SpectralOperators":
         """Precompute the maps for Green's operators `ops` (m0 FFT convolutions)."""
         if (ops.m1, ops.m2) != (basis.m1, basis.m2):
-            raise ValueError("Green's operators and spectral basis disagree in grid size")
+            raise ValueError(f"Green's operators on a {ops.m1}x{ops.m2} grid and spectral basis "
+                             f"on a {basis.m1}x{basis.m2} grid disagree in grid size")
         b_img = expand(basis, np.eye(basis.m0, dtype=np.complex128))
         b_rows = b_img.reshape(basis.m0, -1)
         return cls(fields=apply_gd(ops, b_img).reshape(basis.m0, -1),

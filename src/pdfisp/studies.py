@@ -2,7 +2,8 @@
 
 Every study is points of named values on one grid (see _run_grid), each a
 cell that one runner (see _run_cells) simulates, noises, reconstructs and
-scores. A cell is keyed by what fixes its result, not by its labels: equal
+scores: a row is the cell's labels, `reconstruct.result_metrics` and the
+wall time. A cell is keyed by what fixes its result, not by its labels: equal
 keys share one reconstruction, stored cells are loaded on resume and failed
 cells become `error` rows, so reruns reproduce tables exactly.
 """
@@ -13,14 +14,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .config import (SCALAR_FIELDS, ConfigError, ImagingConfig, _read, config_from_dict,
                      config_hash, config_to_dict, from_dict, json_digest, read_json, write_json)
 from .fileio import write_csv
 from .forward import SIMULATE_FIELDS, SimulationResult, add_awgn, simulate
 from .geometry import build_array, perturb_array
-from .reconstruct import FOUR_CONN, ReconstructionResult, count_components, reconstruct
+from .reconstruct import reconstruct, result_metrics
 from .scenes import PRESET_NAMES, Scene, builtin_scene
 
 ABLATION_FLAGS = {"no_cco": {"use_cco": False}, "no_bridge": {"lambda3": 0.0},
@@ -104,17 +104,8 @@ def save_study_spec(path, spec: StudySpec) -> None:
 # Shared cell machinery
 
 
-def _cell_metrics(result: ReconstructionResult, chi_true: np.ndarray) -> dict:
-    eps, loss = result.eps_r.real, result.final_loss
-    return {"rel_error": result.rel_error, "wall_time": result.wall_time,
-            "loss_state": loss.state, "loss_data": loss.data, "loss_total": loss.total,
-            "components": count_components(eps, 1.5), "peak_eps": float(eps.max()),
-            "min_eps": float(eps.min()), "n_below_one": int(np.sum(eps < 1.0)),
-            "gap_spurious": spurious_gap_pixels(eps, chi_true), "views": result.n_views}
-
-
-# the metric columns of every grid CSV; rows also carry `wall_time`, which stays
-# out of the hashed CSVs so that `pdf-isp rerun` of a study is bit-exact
+# the `result_metrics` keys of every grid CSV; rows carry every key, and `wall_time`,
+# which stays out of the hashed CSVs so that `pdf-isp rerun` of a study is bit-exact
 METRIC_COLUMNS = ["rel_error", "loss_state", "loss_data", "loss_total", "components",
                   "peak_eps", "min_eps", "n_below_one", "gap_spurious", "views"]
 
@@ -161,7 +152,7 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
         sim = clean[fixed]
         data = add_awgn(sim.data, key["snr_db"], np.random.default_rng(key["noise"]))
         result = reconstruct(config, data, array=nominal, chi_true=sim.chi_true)
-        return _cell_metrics(result, sim.chi_true.values)
+        return {**result_metrics(result, sim.chi_true), "wall_time": result.wall_time}
 
     results: dict[str, dict] = {}
     rows = []
@@ -223,28 +214,6 @@ def run_noise_study(spec: StudySpec, out_dir=None) -> list[dict]:
     points = [{"snr_db": snr, "scene_eps": eps}
               for snr, eps in itertools.product(spec.snr_grid, spec.eps_grid)]
     return _run_grid("noise", spec, points, out_dir)
-
-
-def gap_mask(chi_true: np.ndarray, dilate: int = 5) -> np.ndarray:
-    """Pixels between nearby scatterers where bridging artifacts would sit.
-
-    Each 4-connected component of the true support is dilated separately;
-    gap pixels are covered by at least two dilated components yet lie
-    outside the support itself.
-    """
-    support = np.abs(chi_true) > 0
-    labels, n = ndimage.label(support, structure=FOUR_CONN)
-    cover = np.zeros(support.shape, dtype=np.int32)
-    for lab in range(1, n + 1):
-        cover += ndimage.binary_dilation(labels == lab, structure=FOUR_CONN,
-                                         iterations=dilate).astype(np.int32)
-    return (cover >= 2) & ~support
-
-
-def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
-                        threshold: float = 1.5, dilate: int = 5) -> int:
-    mask = gap_mask(chi_true, dilate=dilate)
-    return int(np.sum((np.real(eps_map) > threshold) & mask))
 
 
 def run_ablation(spec: StudySpec, out_dir=None) -> dict[str, dict]:

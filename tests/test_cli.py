@@ -97,6 +97,8 @@ def test_mismatched_data_is_runtime_error(sim_dir, tmp_path, capsys):
     code = main(["reconstruct", "--data", str(sim_dir / "data.emsca"), *TINY,
                  "--set", "n_tx=4", "--out", str(tmp_path / "o")])
     assert code == 2
+    assert ("error: data matrix of shape (8, 8) does not match the antenna array of "
+            "4 transmitters and 8 receivers") in capsys.readouterr().err
 
 
 def _json(path, payload):
@@ -155,6 +157,7 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                            "line 2: nonfinite value"),
     "manifest no argv": (["rerun", "--manifest", "{d}/no_argv.json"], "manifest argv"),
     "manifest no outputs": (["rerun", "--manifest", "{d}/no_outputs.json"], "manifest outputs"),
+    "manifest array": (["rerun", "--manifest", "{d}/array.json"], "a manifest is a JSON object"),
 }
 
 
@@ -191,6 +194,7 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
                                                 "config": TINY_CONFIG})
     _json(tmp_path / "no_argv.json", {"command": "simulate", "outputs": {}})
     _json(tmp_path / "no_outputs.json", {"command": "simulate", "argv": ["simulate"]})
+    _json(tmp_path / "array.json", [{"argv": ["simulate"], "outputs": {}}])
     argv, field = MALFORMED[name]
     argv = [a.format(d=tmp_path) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -311,8 +315,10 @@ def test_reconstruct_outputs(recon_dir):
     lines = (recon_dir / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("iteration,") and len(lines) == 3   # k_iters=2
     metrics = json.loads((recon_dir / "metrics.json").read_text())
-    assert metrics["rel_error"] is not None
-    assert {"final_loss", "peak_eps", "min_eps", "components_above_1p5"} <= set(metrics)
+    assert set(metrics) == {"rel_error", "loss_state", "loss_data", "loss_bound", "loss_tv",
+                            "loss_bridge", "loss_total", "components", "peak_eps", "min_eps",
+                            "n_below_one", "gap_spurious", "views"}
+    assert None not in metrics.values()   # --truth gives rel_error and gap_spurious
     assert metrics["views"] == 8          # the 16x16 data are full rank: every view is kept
     assert (recon_dir / "eps_r.pgm").read_bytes().startswith(b"P5\n16 16\n255\n")
 
@@ -327,6 +333,29 @@ def test_trace_has_finite_update_norms(recon_dir):
     counts = [int(row[header.index(name)]) for row in rows
               for name in ("n_clamped", "n_degenerate")]
     assert min(counts) >= 0 and max(counts) <= 16 * 16
+
+
+def test_metrics_json_is_the_row_of_a_sweep_cell_on_the_same_data(sim_dir, recon_dir,
+                                                                   monkeypatch):
+    # `result_metrics` fills both: a noise-free sweep cell of the simulated
+    # config and scene reconstructs the same data and reports the same numbers
+    from pdfisp import studies
+
+    data = []
+    real = studies.reconstruct
+
+    def captured(config, measured, **kwargs):
+        data.append(measured.matrix)
+        return real(config, measured, **kwargs)
+
+    monkeypatch.setattr(studies, "reconstruct", captured)
+    spec = studies.StudySpec(config=load_config(sim_dir / "config.json"), kind="sweep",
+                             scene_name="austria", scene_eps=2.0, scene_scale=0.9)
+    (row,) = studies.run_sweep(spec)
+    assert np.array_equal(data[0], load_dataset(sim_dir / "data.emsca")[0].matrix)
+    metrics = json.loads((recon_dir / "metrics.json").read_text())
+    assert set(metrics) <= set(row)
+    assert {key: row[key] for key in metrics} == metrics
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +443,29 @@ def test_rerun_detects_tampered_outputs(sim_dir, tmp_path, capsys):
     assert "DIFFERS" in capsys.readouterr().out
 
 
+def test_rerun_reports_a_failed_replay(sim_dir, tmp_path, capsys):
+    # a manifest recorded with the retired `simulate --seed` no longer replays
+    manifest = load_manifest(sim_dir / "manifest.json")
+    manifest["argv"] += ["--seed", "3"]
+    old = _json(tmp_path / "seeded.json", manifest)
+    code = main(["rerun", "--manifest", old, "--out", str(tmp_path / "replay")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and err.endswith("rerun: replay exited with 1\n")
+
+
+def test_study_seed_flag_overrides_the_spec_seed(tmp_path):
+    spec = {"kind": "noise", "snr_grid": [10.0], "eps_grid": [2.0], "config": TINY_CONFIG}
+    flagged = _json(tmp_path / "flagged.json", spec)
+    written = _json(tmp_path / "written.json", {**spec, "seed": 5})
+    for spec_file, extra, out in ((flagged, ["--seed", "5"], "flag"), (written, [], "spec"),
+                                  (flagged, [], "default")):
+        assert main(["study", "--spec", spec_file, *extra, "--out", str(tmp_path / out)]) == 0
+    assert load_manifest(tmp_path / "flag" / "manifest.json")["seed"] == 5
+    rows = {out: (tmp_path / out / "noise.csv").read_text() for out in ("flag", "spec", "default")}
+    assert rows["flag"] == rows["spec"] != rows["default"]     # 10 dB noise from default_rng(5)
+
+
 def test_redirect_out_variants():
     assert _redirect_out(["x", "--out", "a"], "b") == ["x", "--out", "b"]
     assert _redirect_out(["x", "--out=a"], "b") == ["x", "--out=b"]
@@ -440,8 +492,9 @@ def test_fresnel_reconstruct_run(fresnel_dir):
         assert (d / name).exists()
     cfg = load_config(d / "config.json")
     assert cfg.m1 == 16 and cfg.frequency == 5e9
-    # partly measured data keep every view
-    assert json.loads((d / "metrics.json").read_text())["views"] == cfg.n_tx
+    metrics = json.loads((d / "metrics.json").read_text())
+    assert metrics["views"] == cfg.n_tx           # partly measured data keep every view
+    assert metrics["rel_error"] is None and metrics["gap_spurious"] is None   # no truth
 
 
 @pytest.mark.parametrize("assignment", ["frequency=3e9", "n_tx=4", "n_rx=4",

@@ -44,7 +44,9 @@ def test_explicit_ring_radius_wins():
     dict(lambda2=-1e-5),
 ])
 def test_validate_rejects(kwargs):
-    with pytest.raises(ConfigError):
+    # the message names the field and the value, as `ImagingConfig.m1 must be >= 1, got 0`
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ConfigError, match=rf"^ImagingConfig\.{name} must .*, got {value}$"):
         ImagingConfig(**kwargs).validate()
 
 

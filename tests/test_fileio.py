@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ def test_corrupt_header_detected(tmp_path):
     # flip one byte inside the JSON header line (after the magic line)
     _flip_byte(path, len(b"EMSCA 1\n") + 3)
     with pytest.raises(CorruptHeaderError):
+        load_dataset(path)
+
+
+DAMAGED = {   # name -> (edit of the header line, CRC line and rest, error, its message)
+    "no CRC line": (lambda blob, crc, rest: (blob, b"XRC" + crc[3:], rest),
+                    CorruptHeaderError, "missing CRC line"),
+    "unreadable CRC": (lambda blob, crc, rest: (blob, b"CRC 0x?", rest),
+                       CorruptHeaderError, "unreadable CRC"),
+    "bad marker": (lambda blob, crc, rest: (blob, crc, bytes(4) + rest[4:]),
+                   FileFormatError, "bad byte-order marker"),
+    "header not JSON": (lambda blob, crc, rest: (b"{n_tx: 4}", b"CRC %08x" % zlib.crc32(
+        b"{n_tx: 4}"), rest), CorruptHeaderError, "header is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED))
+def test_damaged_header_lines_rejected(name, tmp_path):
+    edit, error, message = DAMAGED[name]
+    path = tmp_path / "d.emsca"
+    save_dataset(path, _dataset())
+    magic, *parts = path.read_bytes().split(b"\n", 3)
+    path.write_bytes(b"\n".join([magic, *edit(*parts)]))
+    with pytest.raises(error, match=re.escape(message)):
         load_dataset(path)
 
 

@@ -6,7 +6,7 @@ from scipy import special as sp
 import oracles
 from pdfisp import forward
 from pdfisp.config import ImagingConfig
-from pdfisp.forward import (GeometryError, NoConvergenceError, ScatteredData, add_awgn,
+from pdfisp.forward import (FieldSet, GeometryError, NoConvergenceError, ScatteredData, add_awgn,
                             apply_gd, apply_gs_adjoint, build_greens,
                             dense_gd_matrix, incident_fields, simulate,
                             solve_total_field, synthesize_scattered)
@@ -266,8 +266,11 @@ def test_shape_mismatch_rejected():
     cfg, grid, arr, ops = _setup()
     e_inc = incident_fields(cfg, arr, grid)
     bad = ComplexGrid(values=np.zeros((10, 10), dtype=complex), cell_size=grid.cell_size)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"grid of shape \(10, 10\) .* shape \(6, 12, 12\)"):
         solve_total_field(bad, e_inc, ops)
+    views = FieldSet(views=np.zeros((6, 10, 10), dtype=complex))
+    with pytest.raises(ValueError, match=r"length 100 and G_S of shape \(6, 144\)"):
+        synthesize_scattered(bad, views, ops)
 
 
 def test_synthesize_scattered_is_projection_of_currents():

@@ -137,6 +137,8 @@ def test_adam_state_shapes():
     assert state.lr == 3e-3
     assert state.m.shape == state.v.shape == (params.n_params(),)
     assert not state.m.any() and not state.v.any()
+    with pytest.raises(ValueError, match=rf"shape \(5,\) does not match the {state.m.size} "):
+        adam_step(state, params, np.zeros(5))
 
 
 def test_adam_matches_reference_with_norms():

@@ -10,9 +10,9 @@ from pdfisp.forward import ScatteredData, add_awgn, simulate
 from pdfisp.losses import loss_total
 from pdfisp.reconstruct import (INCIDENT_TAIL_ENERGY, VIEW_TAIL_ENERGY, CsiObjective, Problem,
                                 bp_initialize, count_components, csi_descent, init_alpha,
-                                principal_views, reconstruct, relative_error)
+                                principal_views, reconstruct, relative_error,
+                                spurious_gap_pixels)
 from pdfisp.scenes import builtin_scene
-from pdfisp.studies import spurious_gap_pixels
 
 
 def _objective(setup, sim):
@@ -205,7 +205,7 @@ def test_reconstruct_without_truth_has_no_error(quick_cfg, tiny_sim):
 
 def test_reconstruct_rejects_mismatched_data(quick_cfg):
     bad = ScatteredData(matrix=np.ones((5, 8), dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape \(5, 8\) .* 8 transmitters and 8 receivers"):
         reconstruct(quick_cfg, bad)
 
 

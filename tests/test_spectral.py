@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import oracles
-from pdfisp.spectral import SpectralBasis, expand, truncate, truncate_adjoint_scale
+from pdfisp.spectral import (SpectralBasis, SpectralOperators, expand, truncate,
+                             truncate_adjoint_scale)
 
 
 def test_basis_validation():
@@ -70,12 +71,14 @@ def test_adjoint_scale_identity():
     assert truncate_adjoint_scale(basis) == pytest.approx(1.0 / (14 * 14))
 
 
-def test_shape_errors():
+def test_shape_errors(tiny_setup):
     basis = SpectralBasis(8, 8, 2)
     with pytest.raises(ValueError):
         truncate(basis, np.zeros((8, 9), dtype=complex))
     with pytest.raises(ValueError):
         expand(basis, np.zeros(basis.m0 + 1, dtype=complex))
+    with pytest.raises(ValueError, match="on a 16x16 grid and spectral basis on a 8x8 grid"):
+        SpectralOperators.build(tiny_setup.ops, basis)
 
 
 def _rel(got, want):

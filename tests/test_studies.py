@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pdfisp.config import ConfigError, ImagingConfig, config_to_dict
-from pdfisp.studies import (StudySpec, _resume_or_run, gap_mask, load_study_spec,
-                            run_ablation, run_monte_carlo, run_noise_study,
-                            run_study, run_sweep, save_study_spec, spec_from_dict,
-                            spec_to_dict, spurious_gap_pixels)
+from pdfisp.reconstruct import gap_mask, spurious_gap_pixels
+from pdfisp.studies import (StudySpec, _resume_or_run, load_study_spec, run_ablation,
+                            run_monte_carlo, run_noise_study, run_study, run_sweep,
+                            save_study_spec, spec_from_dict, spec_to_dict)
 
 
 @pytest.fixture(scope="module")
