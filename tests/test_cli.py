@@ -6,8 +6,10 @@ import pytest
 
 from pdfisp.cli import _redirect_out, main
 from pdfisp.config import load_config
-from pdfisp.fileio import load_dataset, load_grid, load_manifest, save_dataset, sha256_file
+from pdfisp.fileio import (load_dataset, load_grid, load_manifest, save_dataset, save_grid,
+                           sha256_file)
 from pdfisp.forward import ScatteredData
+from pdfisp.geometry import ComplexGrid
 
 TINY = ["--set", "m1=16", "--set", "m2=16", "--set", "m_f=3",
         "--set", "n_tx=8", "--set", "n_rx=8", "--set", "k_iters=2"]
@@ -131,6 +133,10 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
     "snr -inf": ([*SIM, "austria:2", "--snr=-inf"], "snr_db must be finite or +inf, got -inf"),
     "data nan": (["reconstruct", *TINY, "--data", "{d}/nan.emsca"],
                  "nonfinite entries: 1, in 1 of 8 rows"),
+    "truth grid size": (["reconstruct", *TINY, "--data", "{d}/ones.emsca",
+                         "--truth", "{d}/chi20.grid"],
+                        "truth grid of shape (20, 20) does not match the imaging grid of "
+                        "shape (16, 16)"),
     "scene no radius": ([*SIM, "{d}/no_radius.json"], "Scene.shapes[0] (disk): missing radius"),
     "scene negative radius": ([*SIM, "{d}/negative_radius.json"],
                               "Scene.shapes[0] (disk): radius must be finite and > 0"),
@@ -171,6 +177,8 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
     matrix = np.ones((8, 8), dtype=complex)
     matrix[3, 5] = np.nan
     save_dataset(tmp_path / "nan.emsca", ScatteredData(matrix=matrix))
+    save_dataset(tmp_path / "ones.emsca", ScatteredData(matrix=np.ones((8, 8), dtype=complex)))
+    save_grid(tmp_path / "chi20.grid", ComplexGrid(np.zeros((20, 20)), 0.1))
     _json(tmp_path / "no_radius.json", {"shapes": [DISK]})
     _json(tmp_path / "negative_radius.json", {"shapes": [dict(DISK, radius=-0.3)]})
     _json(tmp_path / "radios.json", {"shapes": [dict(DISK, radius=0.3, radios=0.3)]})
