@@ -251,39 +251,52 @@ def test_view_rotation_leaves_the_loss_unchanged(tiny_setup, tiny_sim, tiny_ctx)
             assert getattr(mixed, term) == pytest.approx(getattr(plain, term), rel=1e-11), term
 
 
-def test_principal_views_come_from_the_geometry(default_setup, austria2_sim, tiny_setup,
-                                               tiny_sim):
-    """Every fully measured dataset runs on the incident fields' principal
-    views, by one mix per geometry and noise state: noise-free data of any
-    contrast on 17 of the default ring's 36 views, noisy data of any draw on
-    21, each dropping at most its tail share of the incident energy. A mix
-    does not keep a partial mask, so masked data come back as the very
-    inputs. The 16x16 eight-antenna incident fields need all 8 views, so
-    data there come back as the very inputs too."""
-    e_inc = default_setup.e_inc.views
+def _check_shared_mix(datasets, e_inc, q, share):
+    """The kept views of every dataset in datasets are q rows of one mix of
+    the geometry: orthonormal, dropping at most share of the incident
+    energy, with balanced row energies."""
     alpha0 = np.eye(36, dtype=complex)      # the helper hands back its view mix
-    clean = austria2_sim.data
+    runs = [principal_views(data, e_inc, alpha0) for data in datasets]
+    fields, mix = runs[0][1:]
+    for data, (views, data_fields, data_mix) in zip(datasets, runs):
+        assert views.matrix.shape == (q, 36) and views.mask.all()
+        assert views.snr_db == data.snr_db
+        assert np.array_equal(views.matrix, mix @ data.matrix)
+        assert np.array_equal(data_fields, fields) and np.array_equal(data_mix, mix)
+        # the kept rows look like views: comparable energies (the rows of
+        # U^H span decades), as the physical rows have
+        energy = np.sum(np.abs(views.matrix) ** 2, axis=1)
+        assert energy.min() > 0.5 * energy.max(), data.snr_db
+    assert fields.shape == (q, 64, 64)
+    assert np.abs(mix @ mix.conj().T - np.eye(q)).max() < 1e-12
+    dropped = 1.0 - np.linalg.norm(fields) ** 2 / np.linalg.norm(e_inc) ** 2
+    assert 0.0 <= dropped <= share
+
+
+def test_principal_views_of_noise_free_data(default_setup, austria2_sim):
+    """Noise-free data of any contrast run on 17 of the default ring's 36
+    incident-field principal views, by one mix of the geometry that drops
+    at most NOISE_FREE_TAIL_ENERGY of the incident energy."""
     eps5 = simulate(default_setup.config, builtin_scene("austria", 5.0)).data
+    _check_shared_mix([austria2_sim.data, eps5], default_setup.e_inc.views, 17,
+                      NOISE_FREE_TAIL_ENERGY)
+
+
+def test_principal_views_of_noisy_and_masked_data(default_setup, austria2_sim, tiny_setup,
+                                                  tiny_sim):
+    """Noisy data of any draw run on 21 of the default ring's incident-field
+    principal views, by one mix of the geometry that drops at most
+    NOISY_TAIL_ENERGY of the incident energy. A mix does not keep a partial
+    mask, so masked data come back as the very inputs. The 16x16
+    eight-antenna incident fields need all 8 views, so data there come back
+    as the very inputs too."""
+    e_inc = default_setup.e_inc.views
+    clean = austria2_sim.data
     noisy = [add_awgn(clean, snr, np.random.default_rng(seed))
              for seed, snr in enumerate((60.0, 10.0, 1.0))]
-    for share, q, datasets in ((NOISE_FREE_TAIL_ENERGY, 17, [clean, eps5]),
-                               (NOISY_TAIL_ENERGY, 21, noisy)):
-        runs = [principal_views(data, e_inc, alpha0) for data in datasets]
-        fields, mix = runs[0][1:]
-        for data, (views, data_fields, data_mix) in zip(datasets, runs):
-            assert views.matrix.shape == (q, 36) and views.mask.all()
-            assert views.snr_db == data.snr_db
-            assert np.array_equal(views.matrix, mix @ data.matrix)
-            assert np.array_equal(data_fields, fields) and np.array_equal(data_mix, mix)
-            # the kept rows look like views: comparable energies (the rows of
-            # U^H span decades), as the physical rows have
-            energy = np.sum(np.abs(views.matrix) ** 2, axis=1)
-            assert energy.min() > 0.5 * energy.max(), data.snr_db
-        assert fields.shape == (q, 64, 64)
-        assert np.abs(mix @ mix.conj().T - np.eye(q)).max() < 1e-12
-        dropped = 1.0 - np.linalg.norm(fields) ** 2 / np.linalg.norm(e_inc) ** 2
-        assert 0.0 <= dropped <= share
+    _check_shared_mix(noisy, e_inc, 21, NOISY_TAIL_ENERGY)
 
+    alpha0 = np.eye(36, dtype=complex)
     mask = np.ones(clean.matrix.shape, bool)
     mask[:, :6] = False
     masked = ScatteredData(matrix=clean.matrix, mask=mask)
