@@ -2,12 +2,12 @@
 
 Subcommands: simulate, reconstruct, study, fresnel, render, rerun.
 Exit codes: 0 success, 1 usage error, 2 runtime error. simulate, reconstruct,
-study and fresnel write their files into --out and return them (metrics.json
-of a reconstruction is `reconstruct.result_metrics`); `main` then
-writes the one manifest.json, recording argv, seed, library versions, wall
-time and sha256 hashes of the inputs (a scene file included) and of exactly
-those files. `rerun` replays a manifest into a scratch directory and checks
-the hashes; render is a pure single-file transform and writes no manifest.
+study and fresnel write their files into --out and return them (a
+reconstruction's are read from its result; metrics.json is `result_metrics`);
+`main` then writes the one manifest.json, recording argv, seed, library
+versions, wall time and sha256 hashes of the inputs (a scene file included)
+and of exactly those files. `rerun` checks the input hashes, replays into a
+scratch directory and checks the output hashes; render writes no manifest.
 """
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .config import (SCALAR_FIELDS, ImagingConfig, config_from_dict, config_hash, config_to_dict,
                      load_config, save_config, write_json)
 from .forward import simulate
-from .fresnel import (FresnelError, fresnel_config, load_fresnel, to_hz,
+from .fresnel import (FresnelError, fresnel_reconstruct, load_fresnel, to_hz,
                       write_synthetic_foamdiel)
 from .reconstruct import ReconstructionResult, reconstruct, result_metrics
 from .scenes import resolve_scene
@@ -81,12 +79,12 @@ def _write(args, files: dict) -> list[Path]:
     return [out / name for name in files]
 
 
-def _result_files(config: ImagingConfig, result: ReconstructionResult, truth=None) -> dict:
-    """Writers of the reconstruction artifacts by file name; metrics.json is
-    `result_metrics`, and eps_r.pgm spans 1 to max(1.5, peak eps), which
-    `render` gives any other range."""
-    eps = result.eps_r.real
-    metrics = result_metrics(result, truth)
+def _result_files(result: ReconstructionResult) -> dict:
+    """Writers of the artifacts of a reconstruction, read from its result, by
+    file name; metrics.json is `result_metrics`, and eps_r.pgm spans 1 to
+    max(1.5, peak eps), which `render` gives any other range."""
+    config, eps = result.config, result.eps_r.real
+    metrics = result_metrics(result)
     return {
         "config.json": lambda p: save_config(p, config),
         "chi.grid": lambda p: fileio.save_grid(p, result.chi_cco,
@@ -104,8 +102,7 @@ def _result_files(config: ImagingConfig, result: ReconstructionResult, truth=Non
 def _cmd_simulate(args):
     cfg = _build_config(args)
     scene = resolve_scene(args.scene)
-    rng = np.random.default_rng(cfg.rng_seed)
-    sim = simulate(cfg, scene, snr_db=args.snr, rng=rng)
+    sim = simulate(cfg, scene, snr_db=args.snr)
     outputs = _write(args, {
         "config.json": lambda p: save_config(p, cfg),
         "data.emsca": lambda p: fileio.save_dataset(p, sim.data, meta={"scene": args.scene}),
@@ -125,7 +122,7 @@ def _cmd_reconstruct(args):
     truth = fileio.load_grid(args.truth) if args.truth else None
     result = reconstruct(cfg, data, chi_true=truth)
     inputs = [p for p in (args.config, args.data, args.truth) if p]
-    return cfg.rng_seed, inputs, _write(args, _result_files(cfg, result, truth)), None
+    return cfg.rng_seed, inputs, _write(args, _result_files(result)), None
 
 
 def _cmd_study(args):
@@ -145,10 +142,8 @@ def _cmd_fresnel(args):
             return 0
     if not args.file:
         raise UsageError("fresnel: --file is required unless only --write-synthetic is used")
-    dataset = load_fresnel(args.file, args.freq)
-    cfg = fresnel_config(dataset, **_overrides(args))
-    result = reconstruct(cfg, dataset.scattered(), array=dataset.array())
-    return cfg.rng_seed, [args.file], _write(args, _result_files(cfg, result)), None
+    result = fresnel_reconstruct(load_fresnel(args.file, args.freq), **_overrides(args))
+    return result.config.rng_seed, [args.file], _write(args, _result_files(result)), None
 
 
 def _cmd_render(args) -> int:
@@ -159,6 +154,11 @@ def _cmd_render(args) -> int:
 
 def _cmd_rerun(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
+    changed = [path for path, want in manifest["inputs"].items()
+               if not Path(path).is_file() or fileio.sha256_file(path) != want]
+    if changed:
+        print("\n".join(f"CHANGED  {path}" for path in changed))
+        return 2
     out_dir = Path(args.out) if args.out else Path(args.manifest).parent / "rerun"
     replayed = _redirect_out(manifest["argv"], str(out_dir))
     code = main(replayed)

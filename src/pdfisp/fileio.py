@@ -176,8 +176,8 @@ def render_pgm(eps_map: np.ndarray, vmin: float, vmax: float, path) -> None:
     Pixels map as clamp((x - vmin)/(vmax - vmin), 0, 1)*255 on the real
     part, written row-major: array row 0 is the top image row.
     """
-    if vmax <= vmin:
-        raise ValueError("vmax must exceed vmin")
+    if not (np.isfinite(vmin) and np.isfinite(vmax) and vmin < vmax):
+        raise ValueError(f"render range needs finite vmin < vmax, got {vmin=}, {vmax=}")
     x = np.clip((np.real(eps_map) - vmin) / (vmax - vmin), 0.0, 1.0)
     img = np.rint(x * 255.0).astype(np.uint8)
     h, w = img.shape
@@ -246,15 +246,16 @@ def write_manifest(path, command: str, argv: list[str], seed: int | None,
 
 
 def load_manifest(path) -> dict:
-    """A manifest; FileFormatError unless it has what `rerun` replays: `argv`, a
-    list of strings, and `outputs`, an object of file hashes."""
+    """A manifest; FileFormatError unless it has what `rerun` checks and replays:
+    `argv`, a list of strings, and `inputs` and `outputs`, objects of file hashes."""
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise FileFormatError(f"{path}: a manifest is a JSON object")
-    argv, outputs = manifest.get("argv"), manifest.get("outputs")
+    argv = manifest.get("argv")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise FileFormatError(f"{path}: manifest argv must be a list of strings, got {argv!r}")
-    if not isinstance(outputs, dict):
-        raise FileFormatError(f"{path}: manifest outputs must be an object, got {outputs!r}")
+    for key in ("outputs", "inputs"):
+        if not isinstance(value := manifest.get(key), dict):
+            raise FileFormatError(f"{path}: manifest {key} must be an object, got {value!r}")
     return manifest
 

@@ -25,6 +25,7 @@ import numpy as np
 from .config import C0, ConfigError, ImagingConfig, config_from_dict
 from .forward import ScatteredData, line_source, simulate
 from .geometry import AntennaArray, ring_points
+from .reconstruct import ReconstructionResult, reconstruct
 from .scenes import Scene, Shape
 
 RING_RADIUS = 1.67          # meters, transmitter and receiver circles
@@ -206,9 +207,8 @@ def fresnel_config(dataset: FresnelDataset, **overrides) -> ImagingConfig:
     return config_from_dict({"doi_side": 0.2, "m1": 64, "m2": 64, **overrides, **fixed})
 
 
-def fresnel_reconstruct(dataset: FresnelDataset, **overrides):
-    from .reconstruct import reconstruct
-
+def fresnel_reconstruct(dataset: FresnelDataset, **overrides) -> ReconstructionResult:
+    """`reconstruct` of the dataset on its own array, under `fresnel_config`."""
     return reconstruct(fresnel_config(dataset, **overrides), dataset.scattered(),
                        array=dataset.array())
 

@@ -57,12 +57,19 @@ class ReconstructionResult:
     final_loss: LossBreakdown     # at the returned coefficients
     wall_time: float
     n_views: int                  # views the main loop ran on, see `principal_views`
-    rel_error: float | None = None
+    config: ImagingConfig         # the config it ran with
+    chi_true: ComplexGrid | None  # the truth given to `reconstruct`, or None
 
     @property
     def eps_r(self) -> np.ndarray:
         """Relative permittivity map chi_cco + 1 (complex)."""
         return self.chi_cco.values + 1.0
+
+    @property
+    def rel_error(self) -> float | None:
+        """`relative_error` of Re eps_r against `chi_true`, None without it."""
+        truth = self.chi_true
+        return None if truth is None else relative_error(self.eps_r.real, truth.values.real + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -306,10 +313,10 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
                 chi_true: ComplexGrid | None = None) -> ReconstructionResult:
     """Full pipeline from measured data to a permittivity map.
 
-    Deterministic under config.rng_seed. chi_true (when available) only
-    feeds the reported relative error; it never influences the solve. The
-    geometry comes from `Problem.build`, which reuses the last one built in
-    this process.
+    Deterministic under config.rng_seed. The result keeps the config and
+    chi_true (when available), which feeds only its truth-based metrics and
+    never influences the solve. The geometry comes from `Problem.build`,
+    which reuses the last one built in this process.
     """
     t0 = time.perf_counter()
     problem = Problem.build(config, array)
@@ -350,14 +357,11 @@ def reconstruct(config: ImagingConfig, data: ScatteredData,
     chi_cco = apply_cco(chi_hat) if config.use_cco else chi_hat.copy()
     wall = time.perf_counter() - t0
 
-    rel = None
-    if chi_true is not None:
-        rel = relative_error(chi_cco.real + 1.0, chi_true.values.real + 1.0)
     cs = problem.grid.cell_size
     return ReconstructionResult(chi_hat=ComplexGrid(chi_hat, cs),
                                 chi_cco=ComplexGrid(chi_cco, cs), trace=trace,
                                 final_loss=final_bd, wall_time=wall,
-                                n_views=alpha0.shape[0], rel_error=rel)
+                                n_views=alpha0.shape[0], config=config, chi_true=chi_true)
 
 
 # ----------------------------------------------------------------------
@@ -400,14 +404,14 @@ def spurious_gap_pixels(eps_map: np.ndarray, chi_true: np.ndarray,
     return int(np.sum((np.real(eps_map) > threshold) & mask))
 
 
-def result_metrics(result: ReconstructionResult, chi_true: ComplexGrid | None = None) -> dict:
+def result_metrics(result: ReconstructionResult) -> dict:
     """A reconstruction's reported numbers, `metrics.json` and every study row:
     each final loss term as `loss_<term>`, the `components` of Re eps above
     SCATTERER_EPS, the `n_below_one` pixels below 1. The truth-based
-    `rel_error` (as `reconstruct` reported it) and `gap_spurious` are None
-    without a truth."""
+    `rel_error` and `gap_spurious` are read against the result's `chi_true`
+    and are None without one."""
     eps = result.eps_r.real
-    gap = None if chi_true is None else spurious_gap_pixels(eps, chi_true.values)
+    gap = None if result.chi_true is None else spurious_gap_pixels(eps, result.chi_true.values)
     return {"rel_error": result.rel_error,
             **{f"loss_{term}": value for term, value in vars(result.final_loss).items()},
             "components": count_components(eps, SCATTERER_EPS), "peak_eps": float(eps.max()),

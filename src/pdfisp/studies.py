@@ -2,7 +2,7 @@
 
 Every study is points of named values on one grid (see _run_grid), each a
 cell that one runner (see _run_cells) simulates, noises, reconstructs and
-scores: a row is the cell's labels, `reconstruct.result_metrics` and the
+scores: a row is the cell's labels, the result's `result_metrics` and the
 wall time. A cell is keyed by what fixes its result, not by its labels: equal
 keys share one reconstruction, stored cells are loaded on resume and failed
 cells become `error` rows, so reruns reproduce tables exactly.
@@ -132,8 +132,8 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
     The key fixes the result: the config hash, the scene (name, contrast,
     scale), the array (None for the nominal one, else [sigma, s]: jittered
     by default_rng(s)), the SNR and the noise's default_rng seed (None at
-    infinite SNR). Equal keys run one reconstruction, on the nominal array;
-    a row is its labels plus its key's metrics, or `error`. Cells with one
+    infinite SNR). Equal keys run one reconstruction, on the config's ring;
+    a row is its labels plus its result's metrics, or `error`. Cells with one
     contrast, array and SIMULATE_FIELDS share a clean dataset. With an
     out_dir, metrics are stored in cells/ under the key and loaded instead
     of run, and the columns any row has are written to <name>.csv.
@@ -151,8 +151,8 @@ def _run_cells(name: str, spec: StudySpec, cells, out_dir, columns: list[str]) -
             clean[fixed] = simulate(config, spec.scene(eps), array=array)
         sim = clean[fixed]
         data = add_awgn(sim.data, key["snr_db"], np.random.default_rng(key["noise"]))
-        result = reconstruct(config, data, array=nominal, chi_true=sim.chi_true)
-        return {**result_metrics(result, sim.chi_true), "wall_time": result.wall_time}
+        result = reconstruct(config, data, chi_true=sim.chi_true)
+        return {**result_metrics(result), "wall_time": result.wall_time}
 
     results: dict[str, dict] = {}
     rows = []

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from pdfisp.cli import _redirect_out, main
+from pdfisp.cli import _redirect_out, _result_files, main
 from pdfisp.config import load_config
 from pdfisp.fileio import (load_dataset, load_grid, load_manifest, save_dataset, save_grid,
                            sha256_file)
 from pdfisp.forward import ScatteredData
+from pdfisp.fresnel import fresnel_reconstruct, load_fresnel
 from pdfisp.geometry import ComplexGrid
 
 TINY = ["--set", "m1=16", "--set", "m2=16", "--set", "m_f=3",
@@ -163,6 +164,9 @@ MALFORMED = {   # name -> (argv before --out, {d} standing for the test's direct
                            "line 2: nonfinite value"),
     "manifest no argv": (["rerun", "--manifest", "{d}/no_argv.json"], "manifest argv"),
     "manifest no outputs": (["rerun", "--manifest", "{d}/no_outputs.json"], "manifest outputs"),
+    "manifest no inputs": (["rerun", "--manifest", "{d}/no_inputs.json"], "manifest inputs"),
+    "render vmax nan": (["render", "--grid", "{d}/chi20.grid", "--vmax", "nan"],
+                        "vmin=1.0, vmax=nan"),
     "manifest array": (["rerun", "--manifest", "{d}/array.json"], "a manifest is a JSON object"),
 }
 
@@ -202,6 +206,8 @@ def test_malformed_input_names_the_field(name, tmp_path, capsys):
                                                 "config": TINY_CONFIG})
     _json(tmp_path / "no_argv.json", {"command": "simulate", "outputs": {}})
     _json(tmp_path / "no_outputs.json", {"command": "simulate", "argv": ["simulate"]})
+    _json(tmp_path / "no_inputs.json", {"command": "simulate", "argv": ["simulate"],
+                                        "outputs": {}})
     _json(tmp_path / "array.json", [{"argv": ["simulate"], "outputs": {}}])
     argv, field = MALFORMED[name]
     argv = [a.format(d=tmp_path) for a in argv]
@@ -451,6 +457,25 @@ def test_rerun_detects_tampered_outputs(sim_dir, tmp_path, capsys):
     assert "DIFFERS" in capsys.readouterr().out
 
 
+def test_rerun_names_changed_inputs_and_does_not_replay(sim_dir, tmp_path, capsys):
+    # an edited or missing input is named before any replay
+    for name in ("config.json", "data.emsca"):
+        (tmp_path / name).write_bytes((sim_dir / name).read_bytes())
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--config", str(tmp_path / "config.json"),
+                 "--data", str(tmp_path / "data.emsca"), "--out", str(rec)]) == 0
+    config = json.loads((tmp_path / "config.json").read_text())
+    _json(tmp_path / "config.json", {**config, "k_iters": 3})
+    (tmp_path / "data.emsca").unlink()
+    capsys.readouterr()
+    code = main(["rerun", "--manifest", str(rec / "manifest.json"),
+                 "--out", str(tmp_path / "replay")])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"CHANGED  {tmp_path / name}" for name in ("config.json", "data.emsca")]
+    assert not (tmp_path / "replay").exists()
+
+
 def test_rerun_reports_a_failed_replay(sim_dir, tmp_path, capsys):
     # a manifest recorded with the retired `simulate --seed` no longer replays
     manifest = load_manifest(sim_dir / "manifest.json")
@@ -503,6 +528,17 @@ def test_fresnel_reconstruct_run(fresnel_dir):
     metrics = json.loads((d / "metrics.json").read_text())
     assert metrics["views"] == cfg.n_tx           # partly measured data keep every view
     assert metrics["rel_error"] is None and metrics["gap_spurious"] is None   # no truth
+
+
+def test_fresnel_writes_the_files_of_fresnel_reconstruct(fresnel_dir, foamdiel_file, tmp_path):
+    # `pdf-isp fresnel` inverts through `fresnel_reconstruct` and writes its result's files
+    result = fresnel_reconstruct(load_fresnel(foamdiel_file, 5.0), m1=16, m2=16, m_f=3,
+                                 k_iters=2)
+    files = _result_files(result)
+    assert len(files) == 5
+    for name, write in files.items():
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (fresnel_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("assignment", ["frequency=3e9", "n_tx=4", "n_rx=4",

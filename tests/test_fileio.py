@@ -210,8 +210,12 @@ def test_pgm_header_and_clamping(tmp_path):
 
 
 def test_pgm_rejects_bad_range(tmp_path):
-    with pytest.raises(ValueError):
-        render_pgm(np.ones((2, 2)), vmin=1.0, vmax=1.0, path=tmp_path / "x.pgm")
+    # an empty, reversed or nonfinite range writes nothing (NaN and inf once gave black images)
+    nan, inf = float("nan"), float("inf")
+    for vmin, vmax in [(1.0, 1.0), (3.0, 1.0), (1.0, nan), (nan, 3.0), (1.0, inf), (-inf, 3.0)]:
+        with pytest.raises(ValueError, match=f"vmin={vmin}, vmax={vmax}"):
+            render_pgm(np.ones((2, 2)), vmin=vmin, vmax=vmax, path=tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pdfisp.forward import ScatteredData, add_awgn, simulate
 from pdfisp.losses import loss_total
 from pdfisp.reconstruct import (NOISE_FREE_TAIL_ENERGY, NOISY_TAIL_ENERGY, CsiObjective,
                                 Problem, bp_initialize, count_components, csi_descent, init_alpha,
-                                principal_views, reconstruct, relative_error,
+                                principal_views, reconstruct, relative_error, result_metrics,
                                 spurious_gap_pixels)
 from pdfisp.scenes import builtin_scene
 
@@ -201,6 +201,22 @@ def test_reconstruct_seed_changes_solution(quick_cfg, tiny_sim):
 def test_reconstruct_without_truth_has_no_error(quick_cfg, tiny_sim):
     result = reconstruct(quick_cfg, tiny_sim.data)
     assert result.rel_error is None
+    assert result.config is quick_cfg and result.chi_true is None
+    metrics = result_metrics(result)
+    assert metrics["rel_error"] is None and metrics["gap_spurious"] is None
+
+
+def test_result_is_the_record_of_its_run(quick_cfg, tiny_sim):
+    # the result keeps the config and the truth it ran with, and its
+    # truth-based numbers are read against that truth alone
+    truth = tiny_sim.chi_true
+    result = reconstruct(quick_cfg, tiny_sim.data, chi_true=truth)
+    assert result.config is quick_cfg and result.chi_true is truth
+    want = relative_error(result.chi_cco.values.real + 1.0, truth.values.real + 1.0)
+    assert np.float64(result.rel_error).tobytes() == np.float64(want).tobytes()
+    metrics = result_metrics(result)
+    assert metrics["rel_error"] == want
+    assert metrics["gap_spurious"] == spurious_gap_pixels(result.eps_r.real, truth.values)
 
 
 def test_reconstruct_rejects_mismatched_data(quick_cfg):

@@ -333,11 +333,11 @@ def test_yardstick_runs_one_reconstruction_per_distinct_cell(tmp_path, monkeypat
         return SimpleNamespace(data=ScatteredData(matrix=np.ones((2, 2), dtype=complex)),
                                chi_true=chi_true)
 
-    def fake_reconstruct(config, data, array, chi_true):
+    def fake_reconstruct(config, data, chi_true):
         recons.append(1)
         loss = SimpleNamespace(state=0.0, data=0.0, total=0.0)
         return SimpleNamespace(eps_r=np.ones((4, 4)), final_loss=loss, wall_time=0.0, n_views=2,
-                               rel_error=float(np.abs(data.matrix).sum()))
+                               chi_true=chi_true, rel_error=float(np.abs(data.matrix).sum()))
 
     monkeypatch.setattr(studies, "simulate", fake_simulate)
     monkeypatch.setattr(studies, "reconstruct", fake_reconstruct)
